@@ -1,6 +1,7 @@
 #include "nn/layers.h"
 
 #include <memory>
+#include <utility>
 
 namespace promptem::nn {
 
@@ -24,7 +25,7 @@ tensor::Tensor Linear::Forward(const tensor::Tensor& x) const {
     return QuantizedForward(x);
   }
   tensor::Tensor y = ops::MatMul(x, weight_, false, /*trans_b=*/true);
-  if (has_bias_) y = ops::AddBias(y, bias_);
+  if (has_bias_) y = ops::AddBiasInPlace(std::move(y), bias_);
   return y;
 }
 

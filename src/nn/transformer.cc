@@ -2,8 +2,9 @@
 
 #include "text/vocab.h"
 
-#include <map>
+#include <algorithm>
 #include <numeric>
+#include <utility>
 
 namespace promptem::nn {
 
@@ -59,13 +60,15 @@ TransformerEncoder::TransformerEncoder(const TransformerConfig& config,
 
 std::vector<int> TransformerEncoder::DuplicateFlags(
     const std::vector<int>& ids) {
-  std::map<int, int> counts;
-  for (int id : ids) ++counts[id];
+  // An id repeats iff its first occurrence in sorted order has an equal
+  // successor.
+  std::vector<int> sorted = ids;
+  std::sort(sorted.begin(), sorted.end());
   std::vector<int> flags(ids.size(), 0);
   for (size_t i = 0; i < ids.size(); ++i) {
-    if (ids[i] >= text::SpecialTokens::kCount && counts[ids[i]] >= 2) {
-      flags[i] = 1;
-    }
+    if (ids[i] < text::SpecialTokens::kCount) continue;
+    const auto first = std::lower_bound(sorted.begin(), sorted.end(), ids[i]);
+    if (first + 1 != sorted.end() && first[1] == ids[i]) flags[i] = 1;
   }
   return flags;
 }
@@ -116,7 +119,7 @@ tensor::Tensor TransformerEncoder::MlmLogits(
   tensor::Tensor selected = ops::SelectRows(hidden, positions);
   tensor::Tensor logits = ops::MatMul(selected, token_embedding_.table(),
                                       false, /*trans_b=*/true);
-  return ops::AddBias(logits, mlm_bias_);
+  return ops::AddBiasInPlace(std::move(logits), mlm_bias_);
 }
 
 }  // namespace promptem::nn

@@ -45,7 +45,10 @@ uint64_t PairEncoder::CacheKey(const data::GemDataset& dataset, bool left,
   const uint64_t side_index =
       (static_cast<uint64_t>(left ? 1 : 2) << 32) |
       static_cast<uint64_t>(static_cast<uint32_t>(index));
-  return core::Combine64(dataset.cache_identity, side_index);
+  // Identities are small consecutive counters; Combine64's shift terms
+  // would let one dataset's keys collide with indexes ~64 away in the
+  // next, so diffuse the identity first.
+  return core::Combine64(core::Mix64(dataset.cache_identity), side_index);
 }
 
 std::shared_ptr<const std::vector<int>> PairEncoder::CachedEncode(

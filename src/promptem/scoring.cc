@@ -11,9 +11,11 @@ namespace promptem::em {
 namespace {
 
 /// Samples per worker chunk. Fixed — the chunk decomposition never depends
-/// on the pool size — and large enough that a chunk's ScratchArena
-/// amortizes its warm-up allocations over several samples.
-constexpr int64_t kScoreGrain = 8;
+/// on the pool size. One sample per chunk spreads even a single 8-pair
+/// request across every lane: a forward costs hundreds of microseconds,
+/// so per-chunk dispatch and the chunk's ScratchArena warm-up (buffers are
+/// still recycled across the layers of that forward) stay small beside it.
+constexpr int64_t kScoreGrain = 1;
 
 }  // namespace
 

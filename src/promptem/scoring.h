@@ -23,8 +23,9 @@ using ProbPair = std::array<float, 2>;
 /// per-sample forward. This header is the single execution path that
 /// batches those forwards: pool-parallel across samples, graph-free (each
 /// worker chunk runs under a NoGradGuard so no autograd state is built),
-/// and allocation-free in steady state (each chunk installs a
-/// tensor::ScratchArena that recycles intermediate buffers). Results are
+/// with intermediate buffers recycled (each chunk — one sample — installs
+/// a tensor::ScratchArena that reuses them across the forward's layers;
+/// DESIGN.md §6 explains the one-sample grain). Results are
 /// written to per-index slots and per-sample rng streams are derived from
 /// explicit seeds, so the output is bitwise identical for any
 /// PROMPTEM_NUM_THREADS.

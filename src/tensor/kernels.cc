@@ -374,6 +374,33 @@ void LayerNormRowScalar(const float* x, int n, const float* gamma,
   }
 }
 
+constexpr float kGeluC = 0.7978845608028654f;  // sqrt(2/pi)
+
+/// Scalar GELU rows: the libm tanh formula the training golden file was
+/// recorded with, kept bit for bit.
+void GeluRowScalar(const float* x, float* out, int64_t n) {
+  for (int64_t j = 0; j < n; ++j) {
+    const float v = x[j];
+    const float inner = kGeluC * (v + 0.044715f * v * v * v);
+    out[j] = 0.5f * v * (1.0f + std::tanh(inner));
+  }
+}
+
+void GeluGradRowScalar(const float* x, const float* dout, float* dx,
+                       int64_t n) {
+  for (int64_t j = 0; j < n; ++j) {
+    const float v = x[j];
+    const float x3 = v * v * v;
+    const float inner = kGeluC * (v + 0.044715f * x3);
+    const float t = std::tanh(inner);
+    const float sech2 = 1.0f - t * t;
+    const float grad =
+        0.5f * (1.0f + t) +
+        0.5f * v * sech2 * kGeluC * (1.0f + 3.0f * 0.044715f * v * v);
+    dx[j] += dout[j] * grad;
+  }
+}
+
 /// Exact integer u8 x s8 dots; bit-identical to the AVX2 maddubs kernel
 /// as long as A stays in [0, 127] (no saturation on either path).
 void GemmInt8NTScalar(int m, int n, int k, const uint8_t* a, int lda,
@@ -413,7 +440,8 @@ const KernelTable& ScalarTable() {
       KernelVariant::kScalar, GemmNNChunk,      GemmNTChunk,
       GemmTNChunk,            GemmTTChunk,      GemmStridedImpl,
       ExpRowSumScalar,        SumExpRowScalar,  RowMaxScalar,
-      LayerNormRowScalar,     GemmInt8NTScalar,
+      LayerNormRowScalar,     GeluRowScalar,    GeluGradRowScalar,
+      GemmInt8NTScalar,
   };
   return table;
 }
@@ -663,22 +691,12 @@ void LayerNormBackward(const float* x, const float* gamma, const float* mean,
   }
 }
 
-namespace {
-constexpr float kGeluC = 0.7978845608028654f;  // sqrt(2/pi)
-}  // namespace
-
-float Gelu(float x) {
-  const float inner = kGeluC * (x + 0.044715f * x * x * x);
-  return 0.5f * x * (1.0f + std::tanh(inner));
+void GeluForward(const float* x, float* out, int64_t n) {
+  detail::Active().gelu_row(x, out, n);
 }
 
-float GeluGrad(float x) {
-  const float x3 = x * x * x;
-  const float inner = kGeluC * (x + 0.044715f * x3);
-  const float t = std::tanh(inner);
-  const float sech2 = 1.0f - t * t;
-  return 0.5f * (1.0f + t) +
-         0.5f * x * sech2 * kGeluC * (1.0f + 3.0f * 0.044715f * x * x);
+void GeluBackward(const float* x, const float* dout, float* dx, int64_t n) {
+  detail::Active().gelu_grad_row(x, dout, dx, n);
 }
 
 void AxpyOne(const float* x, float* y, int64_t n) {

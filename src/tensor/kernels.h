@@ -10,8 +10,9 @@ namespace promptem::tensor::kernels {
 /// micro-kernel set, selected at startup when CPUID reports AVX2+FMA.
 /// Results are bitwise deterministic at any pool size *within* one
 /// variant; across variants they agree only to floating-point tolerance
-/// (FMA contraction, 8-lane reduction trees) — except the int8 GEMM,
-/// whose integer arithmetic is exact and bit-identical in both.
+/// (FMA contraction, 8-lane reduction trees, GELU's polynomial tanh) —
+/// except the int8 GEMM, whose integer arithmetic is exact and
+/// bit-identical in both.
 enum class KernelVariant { kScalar = 0, kAvx2 = 1 };
 
 /// The variant every dispatched kernel currently runs.
@@ -129,9 +130,16 @@ void AddBlock(const float* src, int ld_src, float* dst, int ld_dst,
 void GemmInt8NT(int m, int n, int k, const uint8_t* a, int lda,
                 const int8_t* b, int ldb, int32_t* c, int ldc);
 
-/// Tanh-approximation GELU and its derivative.
-float Gelu(float x);
-float GeluGrad(float x);
+/// Tanh-approximation GELU over n elements: out[j] = gelu(x[j]); x and
+/// out may alias. The scalar variant is the libm-tanh reference; the AVX2
+/// variant builds tanh(u) = 1 - 2 / (1 + e^{2u}) on the shared fast exp and
+/// agrees with it to 1e-6 (absolute below 1, relative above). Each output
+/// is a pure function of its input element, so results never depend on n,
+/// alignment or the pool size.
+void GeluForward(const float* x, float* out, int64_t n);
+
+/// GELU backward: dx[j] += dout[j] * gelu'(x[j]) for n elements.
+void GeluBackward(const float* x, const float* dout, float* dx, int64_t n);
 
 /// y += x for n elements.
 void AxpyOne(const float* x, float* y, int64_t n);

@@ -11,9 +11,9 @@
 // tile walk order, reduction trees, and tails never depend on the pool
 // size — so results are bitwise identical for any PROMPTEM_NUM_THREADS.
 // Relative to the scalar variant the float kernels differ by FMA
-// contraction and 8-lane reduction grouping (documented tolerance, see
-// DESIGN.md); the int8 kernel is exact integer arithmetic and matches
-// the scalar variant bit for bit.
+// contraction, 8-lane reduction grouping and GELU's exp-based tanh
+// (documented tolerance, see DESIGN.md); the int8 kernel is exact integer
+// arithmetic and matches the scalar variant bit for bit.
 
 #ifdef PROMPTEM_HAVE_AVX2
 
@@ -632,6 +632,105 @@ void LayerNormRowAvx2(const float* x, int n, const float* gamma,
 }
 
 // ---------------------------------------------------------------------------
+// GELU (tanh approximation) with tanh(u) = 1 - 2 / (1 + e^{2u}) on ExpPs.
+// A row's n % 8 tail goes through the same vector body under a lane mask,
+// so each output is a pure function of its input element.
+
+constexpr float kGeluC = 0.7978845608028654f;  // sqrt(2/pi)
+constexpr float kGeluA = 0.044715f;
+
+/// Lane mask selecting the first r (0 < r < 8) lanes.
+inline __m256i TailMask(int64_t r) {
+  return _mm256_cmpgt_epi32(_mm256_set1_epi32(static_cast<int>(r)),
+                            _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
+}
+
+/// 2u = 2 sqrt(2/pi) (x + 0.044715 x^3), the argument of e^{2u}.
+inline __m256 GeluTwoU(__m256 x) {
+  const __m256 x3 = _mm256_mul_ps(_mm256_mul_ps(x, x), x);
+  return _mm256_mul_ps(_mm256_set1_ps(2.0f * kGeluC),
+                       _mm256_fmadd_ps(_mm256_set1_ps(kGeluA), x3, x));
+}
+
+/// r = 1 / (1 + e^{2u}), so tanh(u) = 1 - 2r. 2u clamps at 80 so e^{2u}
+/// stays finite (ExpPs clamps the low side at -80); minps returns its
+/// second operand when either is NaN. NaN inputs stay NaN through the
+/// callers' multiplies by x.
+inline __m256 GeluRecip(__m256 two_u, __m256* e) {
+  const __m256 one = _mm256_set1_ps(1.0f);
+  *e = ExpPs(_mm256_min_ps(_mm256_set1_ps(80.0f), two_u));
+  return _mm256_div_ps(one, _mm256_add_ps(one, *e));
+}
+
+/// 0.5 x (1 + t).
+inline __m256 GeluPs(__m256 x) {
+  __m256 e;
+  const __m256 r = GeluRecip(GeluTwoU(x), &e);
+  const __m256 t = _mm256_fnmadd_ps(_mm256_set1_ps(2.0f), r,
+                                    _mm256_set1_ps(1.0f));
+  return _mm256_mul_ps(_mm256_mul_ps(_mm256_set1_ps(0.5f), x),
+                       _mm256_add_ps(_mm256_set1_ps(1.0f), t));
+}
+
+/// dx + dout * [0.5 (1 + t) + 0.5 x (1 - t^2) sqrt(2/pi) (1 + 3a x^2)].
+inline __m256 GeluGradAccPs(__m256 x, __m256 dout, __m256 dx) {
+  const __m256 one = _mm256_set1_ps(1.0f);
+  const __m256 half = _mm256_set1_ps(0.5f);
+  const __m256 two_u = GeluTwoU(x);
+  __m256 e;
+  const __m256 r = GeluRecip(two_u, &e);
+  const __m256 t = _mm256_fnmadd_ps(_mm256_set1_ps(2.0f), r, one);
+  // 1 - t^2 = 4 e r^2, free of the cancellation 1 - t * t suffers as
+  // |t| -> 1. Zero once |2u| reaches the clamp (the true value is below
+  // 1e-34 there), so x = +-inf gives inf * 0 = NaN as the scalar formula
+  // does.
+  const __m256 abs_two_u =
+      _mm256_andnot_ps(_mm256_set1_ps(-0.0f), two_u);
+  const __m256 in_range =
+      _mm256_cmp_ps(abs_two_u, _mm256_set1_ps(80.0f), _CMP_LT_OQ);
+  const __m256 sech2 = _mm256_and_ps(
+      in_range,
+      _mm256_mul_ps(_mm256_mul_ps(_mm256_set1_ps(4.0f), e),
+                    _mm256_mul_ps(r, r)));
+  const __m256 poly = _mm256_fmadd_ps(_mm256_set1_ps(3.0f * kGeluA),
+                                      _mm256_mul_ps(x, x), one);
+  const __m256 slope = _mm256_mul_ps(
+      _mm256_mul_ps(_mm256_mul_ps(half, x), sech2),
+      _mm256_mul_ps(_mm256_set1_ps(kGeluC), poly));
+  const __m256 grad = _mm256_fmadd_ps(half, _mm256_add_ps(one, t), slope);
+  return _mm256_fmadd_ps(dout, grad, dx);
+}
+
+void GeluRowAvx2(const float* x, float* out, int64_t n) {
+  int64_t j = 0;
+  for (; j + 8 <= n; j += 8) {
+    _mm256_storeu_ps(out + j, GeluPs(_mm256_loadu_ps(x + j)));
+  }
+  if (j < n) {
+    const __m256i mask = TailMask(n - j);
+    _mm256_maskstore_ps(out + j, mask,
+                        GeluPs(_mm256_maskload_ps(x + j, mask)));
+  }
+}
+
+void GeluGradRowAvx2(const float* x, const float* dout, float* dx,
+                     int64_t n) {
+  int64_t j = 0;
+  for (; j + 8 <= n; j += 8) {
+    _mm256_storeu_ps(dx + j, GeluGradAccPs(_mm256_loadu_ps(x + j),
+                                           _mm256_loadu_ps(dout + j),
+                                           _mm256_loadu_ps(dx + j)));
+  }
+  if (j < n) {
+    const __m256i mask = TailMask(n - j);
+    _mm256_maskstore_ps(dx + j, mask,
+                        GeluGradAccPs(_mm256_maskload_ps(x + j, mask),
+                                      _mm256_maskload_ps(dout + j, mask),
+                                      _mm256_maskload_ps(dx + j, mask)));
+  }
+}
+
+// ---------------------------------------------------------------------------
 // Int8 GEMM: u8 activations x s8 weights, maddubs pairs -> madd(1) i32
 // lanes -> i32 accumulators. Exact (no saturation) because activations
 // obey the u7 contract: |pair sum| <= 2 * 127 * 127 < 2^15.
@@ -725,7 +824,8 @@ const KernelTable& Avx2Table() {
       KernelVariant::kAvx2, GemmNNChunkAvx2, GemmNTChunkAvx2,
       GemmTNChunkAvx2,      GemmTTChunkAvx2, GemmStridedAvx2,
       ExpRowSumAvx2,        SumExpRowAvx2,   RowMaxAvx2,
-      LayerNormRowAvx2,     GemmInt8NTAvx2,
+      LayerNormRowAvx2,     GeluRowAvx2,     GeluGradRowAvx2,
+      GemmInt8NTAvx2,
   };
   return table;
 }

@@ -54,6 +54,12 @@ struct KernelTable {
   void (*layernorm_row)(const float* x, int n, const float* gamma,
                         const float* beta, float eps, float* out, float* mean,
                         float* rstd);
+  /// out[j] = gelu(x[j]) for j in [0, n), tanh approximation; x and out
+  /// may alias. Each value is a pure function of x[j] (never of j or n).
+  void (*gelu_row)(const float* x, float* out, int64_t n);
+  /// dx[j] += dout[j] * gelu'(x[j]) for j in [0, n).
+  void (*gelu_grad_row)(const float* x, const float* dout, float* dx,
+                        int64_t n);
 
   /// C[i, j] (int32) = sum_p A[i, p] * B[j, p] for u8 A (m x k, row stride
   /// lda) and s8 B (n x k, row stride ldb). Exact integer arithmetic:

@@ -156,6 +156,19 @@ Tensor AddBias(const Tensor& x, const Tensor& bias) {
   return out;
 }
 
+Tensor AddBiasInPlace(Tensor x, const Tensor& bias) {
+  if (Track(x, bias)) return AddBias(x, bias);
+  PROMPTEM_CHECK(x.ndim() == 2 && bias.ndim() == 1);
+  PROMPTEM_CHECK(x.dim(1) == bias.dim(0));
+  const int rows = x.dim(0);
+  const int cols = x.dim(1);
+  for (int i = 0; i < rows; ++i) {
+    kernels::AxpyOne(bias.data(), x.data() + static_cast<int64_t>(i) * cols,
+                     cols);
+  }
+  return x;
+}
+
 Tensor Scale(const Tensor& a, float s) {
   Tensor out = Tensor::Zeros(a.shape());
   const int64_t n = a.numel();
@@ -365,9 +378,21 @@ Tensor UnaryOp(const Tensor& x, Fwd fwd, Bwd bwd_from_input_and_output) {
 }  // namespace
 
 Tensor Gelu(const Tensor& x) {
-  return UnaryOp(
-      x, [](float v) { return kernels::Gelu(v); },
-      [](float in, float) { return kernels::GeluGrad(in); });
+  // Both modes run the dispatched row kernels, so within one kernel variant
+  // training and eval forwards compute the same values.
+  Tensor out = Tensor::Zeros(x.shape());
+  const int64_t n = x.numel();
+  kernels::GeluForward(x.data(), out.data(), n);
+  if (Track(x)) {
+    auto xi = x.impl();
+    TensorImpl* oi = out.impl().get();
+    Attach(&out, {x}, [xi, oi, n]() {
+      xi->EnsureGrad();
+      kernels::GeluBackward(xi->storage->data(), oi->grad_data(),
+                            xi->grad_data(), n);
+    });
+  }
+  return out;
 }
 
 Tensor Tanh(const Tensor& x) {

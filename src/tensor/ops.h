@@ -27,6 +27,12 @@ Tensor Mul(const Tensor& a, const Tensor& b);
 /// x[m,n] + bias[n] broadcast over rows.
 Tensor AddBias(const Tensor& x, const Tensor& bias);
 
+/// AddBias for a tensor the caller owns exclusively (a fresh op output):
+/// when no graph would be built, the bias is added into x's own storage and
+/// x is returned, skipping AddBias's second [m, n] buffer. Otherwise it is
+/// AddBias. Bitwise identical to AddBias either way.
+Tensor AddBiasInPlace(Tensor x, const Tensor& bias);
+
 /// s * a.
 Tensor Scale(const Tensor& a, float s);
 

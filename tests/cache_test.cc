@@ -18,6 +18,7 @@
 #include <memory>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -615,6 +616,104 @@ TEST(IncrementalMatcherTest, UpsertDeltaEqualsFullRematch) {
   auto fresh = MakeMatcher(std::move(ds));
   const em::MatchPipelineResult full = fresh->FullMatch();
   EXPECT_TRUE(SameResult(incremental, full));
+}
+
+TEST(PairEncoderCacheTest, ConsecutiveIdentitiesShareOneEncoderSafely) {
+  // Identities are small consecutive counters. Keys built from them must
+  // not let one dataset's records stand in for another's at nearby
+  // indexes, so two copies of one table — same records, index for index —
+  // must each encode exactly as a private encoder would.
+  data::GemDataset first = SyntheticDataset();
+  first.RefreshCacheIdentity();
+  data::GemDataset second = first;
+  second.RefreshCacheIdentity();
+  ASSERT_EQ(second.cache_identity, first.cache_identity + 1);
+  std::vector<data::PairExample> pairs;
+  for (int i = 0; i < static_cast<int>(first.left_table.size()); ++i) {
+    pairs.push_back({i, static_cast<int>(first.right_table.size()) - 1 - i, 0});
+  }
+  const text::Vocab& vocab = FixtureLM().vocab();
+  em::PairEncoder shared(&vocab, 32);
+  const std::vector<em::EncodedPair> first_shared =
+      shared.EncodeAll(first, pairs);
+  const std::vector<em::EncodedPair> second_shared =
+      shared.EncodeAll(second, pairs);
+  em::PairEncoder fresh_first(&vocab, 32);
+  em::PairEncoder fresh_second(&vocab, 32);
+  EXPECT_TRUE(SameEncoded(first_shared, fresh_first.EncodeAll(first, pairs)));
+  EXPECT_TRUE(
+      SameEncoded(second_shared, fresh_second.EncodeAll(second, pairs)));
+}
+
+TEST(IncrementalMatcherTest, SharedTrainingEncoderDeltaEqualsFullMatch) {
+  // The serving shape: the encoder that trained the model (its memo full
+  // of the training dataset's records) also encodes the matcher's
+  // candidates. The matcher's dataset takes the next identity.
+  const data::GemDataset original = SyntheticDataset();
+  core::Rng rng(61);
+  em::FinetuneModel model(FixtureLM(), &rng);
+  em::PairEncoder shared = em::MakePairEncoder(FixtureLM(), original);
+  std::vector<data::PairExample> training;
+  for (int i = 0; i < static_cast<int>(original.left_table.size()); ++i) {
+    training.push_back({i, i, 0});
+  }
+  shared.EncodeAll(original, training);
+
+  using Scored = std::vector<std::pair<std::pair<int, int>, em::ProbPair>>;
+  auto make = [&](const data::GemDataset& ds, const em::PairEncoder* encoder,
+                  Scored* scored) {
+    em::IncrementalMatcher::Config config;
+    config.encoder = encoder;
+    config.pipeline.on_scored = [scored](const data::PairExample& p,
+                                         em::ProbPair prob) {
+      scored->push_back({{p.left_index, p.right_index}, prob});
+    };
+    return std::make_unique<em::IncrementalMatcher>(
+        ds,
+        [&model, encoder](const data::GemDataset& d) {
+          return em::MakeClassifierChunkScorer(&model, encoder, &d);
+        },
+        [](const data::GemDataset& d) {
+          return std::unique_ptr<data::Blocker>(
+              std::make_unique<data::MinHashBlocker>(d.left_table,
+                                                     d.right_table));
+        },
+        config);
+  };
+  Scored incremental_scores;
+  auto incremental = make(original, &shared, &incremental_scores);
+  ASSERT_EQ(incremental->dataset().cache_identity,
+            original.cache_identity + 1);
+  incremental->FullMatch();
+
+  em::RecordDelta delta;
+  for (int i : {3, 77, 150}) {
+    em::RecordUpsert up;
+    up.left = false;
+    up.index = i;
+    up.record = original.right_table[static_cast<size_t>(i + 90)];
+    delta.upserts.push_back(std::move(up));
+  }
+  delta.deletes.push_back({/*left=*/true, 12});
+  incremental_scores.clear();
+  const em::MatchPipelineResult after = incremental->ApplyDelta(delta);
+  EXPECT_GT(incremental->last_stats().reused, 0u);
+
+  // The reference: a matcher with its own encoder (fit on the same
+  // corpus) whose first match, on an empty score cache, scores every
+  // candidate of the same final tables from scratch.
+  const em::PairEncoder fresh_encoder =
+      em::MakePairEncoder(FixtureLM(), original);
+  Scored fresh_scores;
+  auto fresh = make(original, &fresh_encoder, &fresh_scores);
+  const em::MatchPipelineResult full = fresh->ApplyDelta(delta);
+  EXPECT_EQ(fresh->last_stats().reused, 0u);
+  EXPECT_TRUE(SameResult(after, full));
+  ASSERT_EQ(incremental_scores.size(), fresh_scores.size());
+  for (size_t i = 0; i < fresh_scores.size(); ++i) {
+    EXPECT_EQ(incremental_scores[i].first, fresh_scores[i].first) << i;
+    EXPECT_EQ(incremental_scores[i].second, fresh_scores[i].second) << i;
+  }
 }
 
 TEST(IncrementalMatcherTest, SameContentUpsertRescoresExactlyTouchedPairs) {

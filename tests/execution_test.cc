@@ -8,6 +8,7 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -338,7 +339,7 @@ void ExpectEngineMatchesSequential(em::PairClassifier* model,
   sequential.reserve(xs.size());
   for (const auto& x : xs) sequential.push_back(model->Probs(x, &unused));
 
-  for (int threads : {1, 3}) {
+  for (int threads : {1, 3, 4}) {
     core::SetNumThreads(threads);
     const std::vector<em::ProbPair> batched = em::ScoreBatch(model, xs);
     ASSERT_EQ(batched.size(), sequential.size());
@@ -360,6 +361,18 @@ TEST(EngineParityTest, PromptModel) {
   core::Rng rng(42);
   em::PromptModel model(FixtureLM(), em::PromptModelConfig{}, &rng);
   ExpectEngineMatchesSequential(&model, SyntheticPairs(13, 2));
+}
+
+TEST(EngineParityTest, PromptModelAcrossSweepSizes) {
+  // Sweeps of one pair, around one 8-pair request, and one spread over
+  // many chunks per lane.
+  core::Rng rng(46);
+  em::PromptModel model(FixtureLM(), em::PromptModelConfig{}, &rng);
+  for (int n : {1, 7, 8, 9, 513}) {
+    SCOPED_TRACE("n=" + std::to_string(n));
+    ExpectEngineMatchesSequential(&model,
+                                  SyntheticPairs(n, static_cast<uint64_t>(n)));
+  }
 }
 
 TEST(EngineParityTest, SentenceBertModel) {

@@ -5,6 +5,8 @@
 #include <cmath>
 #include <cstdio>
 #include <cstring>
+#include <map>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -15,7 +17,9 @@
 #include "nn/optimizer.h"
 #include "nn/serialize.h"
 #include "nn/transformer.h"
+#include "tensor/autograd.h"
 #include "tensor/ops.h"
+#include "text/vocab.h"
 
 namespace promptem::nn {
 namespace {
@@ -179,6 +183,55 @@ TEST(TransformerTest, DuplicateFlags) {
   auto flags = TransformerEncoder::DuplicateFlags({2, 10, 11, 10, 2});
   // id 2 is [CLS] (special): never flagged. id 10 duplicated: flagged.
   EXPECT_EQ(flags, (std::vector<int>{0, 1, 0, 1, 0}));
+}
+
+/// The std::map counting DuplicateFlags used before the sort-based count.
+std::vector<int> MapDuplicateFlags(const std::vector<int>& ids) {
+  std::map<int, int> counts;
+  for (int id : ids) ++counts[id];
+  std::vector<int> flags(ids.size(), 0);
+  for (size_t i = 0; i < ids.size(); ++i) {
+    if (ids[i] >= text::SpecialTokens::kCount && counts[ids[i]] >= 2) {
+      flags[i] = 1;
+    }
+  }
+  return flags;
+}
+
+TEST(TransformerTest, DuplicateFlagsMatchMapCounting) {
+  core::Rng rng(17);
+  for (int trial = 0; trial < 200; ++trial) {
+    // Short alphabets force repeats; long ones make them rare. Ids start
+    // at 0 so special tokens are drawn too.
+    const int length = static_cast<int>(rng.NextU64(130));
+    const int alphabet = 1 + static_cast<int>(rng.NextU64(300));
+    std::vector<int> ids(static_cast<size_t>(length));
+    for (int& id : ids) {
+      id = static_cast<int>(rng.NextU64(static_cast<uint64_t>(alphabet)));
+    }
+    EXPECT_EQ(TransformerEncoder::DuplicateFlags(ids), MapDuplicateFlags(ids))
+        << "trial " << trial;
+  }
+}
+
+TEST(LinearTest, GraphFreeForwardMatchesTrackedForward) {
+  core::Rng rng(3);
+  Linear linear(7, 9, &rng);
+  tensor::Tensor x = tensor::Tensor::Zeros({5, 7});
+  for (int64_t i = 0; i < x.numel(); ++i) x.data()[i] = rng.Gaussian();
+  // Bias values matter: the in-place add must land on every element.
+  for (tensor::Tensor& p : linear.Parameters()) {
+    for (int64_t i = 0; i < p.numel(); ++i) p.data()[i] = rng.Gaussian();
+  }
+  const tensor::Tensor tracked = linear.Forward(x);
+  EXPECT_TRUE(static_cast<bool>(tracked.impl()->backward_fn));
+  tensor::NoGradGuard no_grad;
+  const tensor::Tensor free = linear.Forward(x);
+  EXPECT_FALSE(static_cast<bool>(free.impl()->backward_fn));
+  ASSERT_EQ(free.numel(), tracked.numel());
+  EXPECT_EQ(std::memcmp(free.data(), tracked.data(),
+                        sizeof(float) * static_cast<size_t>(free.numel())),
+            0);
 }
 
 TEST(TransformerTest, DeterministicInEvalMode) {

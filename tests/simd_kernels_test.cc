@@ -5,10 +5,12 @@
 // new kernel. AVX2-vs-scalar comparisons GTEST_SKIP on hardware without
 // AVX2 (the scalar half still runs through the dispatch wrappers there).
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <limits>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -279,6 +281,128 @@ TEST(RowKernelParityTest, LayerNormVariantsAgree) {
   }
 }
 
+/// GELU inputs over |x| <= 20: a dense grid (where the polynomial tanh
+/// meets libm's), then the special values.
+std::vector<float> GeluInputs() {
+  std::vector<float> x;
+  for (int i = -20000; i <= 20000; ++i) x.push_back(0.001f * i);
+  const float inf = std::numeric_limits<float>::infinity();
+  for (float v : {inf, -inf, std::numeric_limits<float>::quiet_NaN(), -0.0f,
+                  1e-30f, -1e-30f}) {
+    x.push_back(v);
+  }
+  return x;
+}
+
+/// Expects `got` (AVX2) to match `want` (scalar) within 1e-6, absolute
+/// below magnitude 1 and relative above; NaN and infinities must match
+/// exactly.
+void ExpectGeluClose(const std::vector<float>& x, const std::vector<float>& got,
+                     const std::vector<float>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (size_t i = 0; i < got.size(); ++i) {
+    if (std::isnan(want[i]) || std::isinf(want[i])) {
+      EXPECT_TRUE(std::isnan(want[i]) ? std::isnan(got[i])
+                                      : got[i] == want[i])
+          << "x=" << x[i] << " got " << got[i] << " want " << want[i];
+      continue;
+    }
+    const float denom = std::max(1.0f, std::fabs(want[i]));
+    EXPECT_LE(std::fabs(got[i] - want[i]) / denom, 1e-6f)
+        << "x=" << x[i] << " got " << got[i] << " want " << want[i];
+  }
+}
+
+/// gelu(x) and gelu'(x) (backward with dout = 1 into a zeroed dx) under
+/// the active variant.
+void GeluBoth(const std::vector<float>& x, std::vector<float>* value,
+              std::vector<float>* slope) {
+  const int64_t n = static_cast<int64_t>(x.size());
+  value->assign(x.size(), 0.0f);
+  slope->assign(x.size(), 0.0f);
+  const std::vector<float> ones(x.size(), 1.0f);
+  kernels::GeluForward(x.data(), value->data(), n);
+  kernels::GeluBackward(x.data(), ones.data(), slope->data(), n);
+}
+
+TEST(GeluParityTest, Avx2MatchesScalarOverRangeAndSpecials) {
+  if (!kernels::CpuSupportsAvx2()) GTEST_SKIP() << "no AVX2 on this host";
+  const std::vector<float> x = GeluInputs();
+  std::vector<float> value_s, slope_s, value_v, slope_v;
+  {
+    ScopedKernelVariant scalar(KernelVariant::kScalar);
+    GeluBoth(x, &value_s, &slope_s);
+  }
+  {
+    ScopedKernelVariant avx2(KernelVariant::kAvx2);
+    GeluBoth(x, &value_v, &slope_v);
+  }
+  ExpectGeluClose(x, value_v, value_s);
+  ExpectGeluClose(x, slope_v, slope_s);
+}
+
+TEST(GeluParityTest, EveryTailLengthMatchesScalarAndFullRow) {
+  if (!kernels::CpuSupportsAvx2()) GTEST_SKIP() << "no AVX2 on this host";
+  core::Rng rng(7);
+  // 5376 = one [84, 64] FFN activation of a scored pair.
+  std::vector<float> full_x(5376);
+  for (auto& v : full_x) v = 4.0f * rng.Gaussian();
+  std::vector<float> full_value, full_slope;
+  {
+    ScopedKernelVariant avx2(KernelVariant::kAvx2);
+    GeluBoth(full_x, &full_value, &full_slope);
+  }
+  std::vector<int64_t> lengths;
+  for (int64_t n = 0; n <= 17; ++n) lengths.push_back(n);
+  lengths.push_back(5376);
+  for (int64_t n : lengths) {
+    const std::vector<float> x(full_x.begin(), full_x.begin() + n);
+    std::vector<float> value_s, slope_s, value_v, slope_v;
+    {
+      ScopedKernelVariant scalar(KernelVariant::kScalar);
+      GeluBoth(x, &value_s, &slope_s);
+    }
+    {
+      ScopedKernelVariant avx2(KernelVariant::kAvx2);
+      GeluBoth(x, &value_v, &slope_v);
+    }
+    SCOPED_TRACE("n=" + std::to_string(n));
+    ExpectGeluClose(x, value_v, value_s);
+    ExpectGeluClose(x, slope_v, slope_s);
+    // Masked tails run the same vector body: a value never depends on
+    // where in a row its element sits.
+    EXPECT_TRUE(BitsEqual(value_v, std::vector<float>(
+                                       full_value.begin(),
+                                       full_value.begin() + n)));
+    EXPECT_TRUE(BitsEqual(slope_v, std::vector<float>(
+                                       full_slope.begin(),
+                                       full_slope.begin() + n)));
+  }
+}
+
+TEST(GeluParityTest, BackwardAccumulatesIntoDx) {
+  core::Rng rng(8);
+  const int64_t n = 29;
+  const auto x = RandomVec(static_cast<size_t>(n), &rng);
+  const auto dout = RandomVec(static_cast<size_t>(n), &rng);
+  const auto dx0 = RandomVec(static_cast<size_t>(n), &rng);
+  for (KernelVariant variant : {KernelVariant::kScalar, KernelVariant::kAvx2}) {
+    if (variant == KernelVariant::kAvx2 && !kernels::CpuSupportsAvx2()) {
+      continue;
+    }
+    ScopedKernelVariant pin(variant);
+    std::vector<float> value, slope;
+    GeluBoth(x, &value, &slope);
+    std::vector<float> dx = dx0;
+    kernels::GeluBackward(x.data(), dout.data(), dx.data(), n);
+    for (int64_t i = 0; i < n; ++i) {
+      const size_t k = static_cast<size_t>(i);
+      EXPECT_NEAR(dx[k], dx0[k] + dout[k] * slope[k], 1e-6f)
+          << kernels::KernelVariantName(variant) << " i=" << i;
+    }
+  }
+}
+
 /// The int8 GEMM is exact integer arithmetic: both variants must agree
 /// bit for bit, and against a plain int32 reference loop.
 TEST(Int8GemmTest, VariantsBitIdenticalAndExact) {
@@ -491,26 +615,35 @@ TEST_P(PoolDeterminismTest, RowKernelsStableAcrossPoolSizes) {
   const auto x = RandomVec(static_cast<size_t>(rows) * cols, &rng);
   const auto gamma = RandomVec(cols, &rng);
   const auto beta = RandomVec(cols, &rng);
-  std::vector<float> sm_ref, lsm_ref, ln_ref;
+  const auto dout = RandomVec(x.size(), &rng);
+  const int64_t n = static_cast<int64_t>(x.size());
+  std::vector<float> sm_ref, lsm_ref, ln_ref, gelu_ref, dgelu_ref;
   for (int threads : {1, 2, 4}) {
     const int saved = core::GetNumThreads();
     core::SetNumThreads(threads);
     std::vector<float> sm(x.size()), lsm(x.size()), ln(x.size());
+    std::vector<float> gelu(x.size()), dgelu(x.size(), 0.5f);
     std::vector<float> mean(rows), rstd(rows);
     kernels::SoftmaxRows(x.data(), rows, cols, sm.data());
     kernels::LogSoftmaxRows(x.data(), rows, cols, lsm.data());
     kernels::LayerNormForward(x.data(), rows, cols, gamma.data(),
                               beta.data(), 1e-5f, ln.data(), mean.data(),
                               rstd.data());
+    kernels::GeluForward(x.data(), gelu.data(), n);
+    kernels::GeluBackward(x.data(), dout.data(), dgelu.data(), n);
     core::SetNumThreads(saved);
     if (sm_ref.empty()) {
       sm_ref = sm;
       lsm_ref = lsm;
       ln_ref = ln;
+      gelu_ref = gelu;
+      dgelu_ref = dgelu;
     } else {
       EXPECT_TRUE(BitsEqual(sm, sm_ref)) << "threads=" << threads;
       EXPECT_TRUE(BitsEqual(lsm, lsm_ref)) << "threads=" << threads;
       EXPECT_TRUE(BitsEqual(ln, ln_ref)) << "threads=" << threads;
+      EXPECT_TRUE(BitsEqual(gelu, gelu_ref)) << "threads=" << threads;
+      EXPECT_TRUE(BitsEqual(dgelu, dgelu_ref)) << "threads=" << threads;
     }
   }
 }

@@ -3,6 +3,7 @@
 
 #include <cmath>
 #include <functional>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -139,10 +140,28 @@ TEST(KernelsTest, LayerNormNormalizes) {
   EXPECT_NEAR(sum, 0.0f, 1e-4f);
 }
 
+/// The kernel variants a test should sweep: scalar always, AVX2 when the
+/// host runs it.
+std::vector<kernels::KernelVariant> HostVariants() {
+  std::vector<kernels::KernelVariant> variants = {
+      kernels::KernelVariant::kScalar};
+  if (kernels::CpuSupportsAvx2()) {
+    variants.push_back(kernels::KernelVariant::kAvx2);
+  }
+  return variants;
+}
+
 TEST(KernelsTest, GeluValues) {
-  EXPECT_NEAR(kernels::Gelu(0.0f), 0.0f, 1e-6f);
-  EXPECT_GT(kernels::Gelu(3.0f), 2.9f);
-  EXPECT_LT(std::fabs(kernels::Gelu(-5.0f)), 0.01f);
+  for (kernels::KernelVariant variant : HostVariants()) {
+    kernels::ScopedKernelVariant pin(variant);
+    SCOPED_TRACE(kernels::KernelVariantName(variant));
+    const float x[] = {0.0f, 3.0f, -5.0f};
+    float y[3];
+    kernels::GeluForward(x, y, 3);
+    EXPECT_NEAR(y[0], 0.0f, 1e-6f);
+    EXPECT_GT(y[1], 2.9f);
+    EXPECT_LT(std::fabs(y[2]), 0.01f);
+  }
 }
 
 TEST(KernelsTest, DotAndNorm) {
@@ -316,6 +335,19 @@ TEST(GradCheckTest, Activations) {
         default:
           return ops::Sum(ops::Mul(ops::Relu(x), ops::Relu(x)));
       }
+    });
+  }
+}
+
+TEST(GradCheckTest, GeluUnderEveryVariant) {
+  // 15 elements: one full 8-lane block plus a 7-element tail, spread over
+  // [-3, 3] where GELU bends.
+  for (kernels::KernelVariant variant : HostVariants()) {
+    kernels::ScopedKernelVariant pin(variant);
+    SCOPED_TRACE(kernels::KernelVariantName(variant));
+    CheckGradient(RandomTensor({3, 5}, 36), [](const Tensor& x) {
+      const Tensor y = ops::Gelu(ops::Scale(x, 3.0f));
+      return ops::Sum(ops::Mul(y, y));
     });
   }
 }
