@@ -359,9 +359,10 @@ void BM_AttentionFusedScalar(benchmark::State& state) {
 }
 BENCHMARK(BM_AttentionFusedScalar)->Arg(128);
 
-/// The unfused parity reference over the same inputs: per-head SelectCols
+/// The unfused composition over the same inputs: per-head SelectCols
 /// copies, materialized score matrices, and a ConcatCols gather — what
-/// MultiHeadSelfAttention ran before fusion (PROMPTEM_UNFUSED_ATTENTION=1).
+/// MultiHeadSelfAttention ran before fusion, kept as the parity reference
+/// in attention_fusion_test.
 void BM_AttentionUnfused(benchmark::State& state) {
   const int t = static_cast<int>(state.range(0));
   const int d = 64;

@@ -1,31 +1,16 @@
 #include "nn/attention.h"
 
 #include <cmath>
-#include <cstdlib>
-#include <cstring>
-#include <numeric>
 
 namespace promptem::nn {
 
 namespace ops = tensor::ops;
-
-namespace {
-
-/// Program-wide escape hatch for A/B runs: PROMPTEM_UNFUSED_ATTENTION=1
-/// starts every attention module on the unfused reference path.
-bool DefaultUseFused() {
-  const char* env = std::getenv("PROMPTEM_UNFUSED_ATTENTION");
-  return env == nullptr || std::strcmp(env, "1") != 0;
-}
-
-}  // namespace
 
 MultiHeadSelfAttention::MultiHeadSelfAttention(int dim, int num_heads,
                                                float dropout, core::Rng* rng)
     : dim_(dim),
       num_heads_(num_heads),
       head_dim_(dim / num_heads),
-      use_fused_(DefaultUseFused()),
       wq_(dim, dim, rng),
       wk_(dim, dim, rng),
       wv_(dim, dim, rng),
@@ -47,30 +32,11 @@ tensor::Tensor MultiHeadSelfAttention::Forward(const tensor::Tensor& x,
   tensor::Tensor v = wv_.Forward(x);
 
   const float scale = 1.0f / std::sqrt(static_cast<float>(head_dim_));
-  tensor::Tensor merged;
-  if (use_fused_) {
-    // DropoutLayer applies dropout only in training mode; mirror that
-    // here so eval forwards are deterministic and draw nothing from rng.
-    const float p = attn_dropout_.training() ? attn_dropout_.p() : 0.0f;
-    merged = ops::FusedSdpa(q, k, v, num_heads_, scale, p, rng);
-  } else {
-    // Unfused parity reference: the original per-op composition.
-    std::vector<tensor::Tensor> head_outputs;
-    head_outputs.reserve(num_heads_);
-    for (int h = 0; h < num_heads_; ++h) {
-      std::vector<int> cols(head_dim_);
-      std::iota(cols.begin(), cols.end(), h * head_dim_);
-      tensor::Tensor qh = ops::SelectCols(q, cols);
-      tensor::Tensor kh = ops::SelectCols(k, cols);
-      tensor::Tensor vh = ops::SelectCols(v, cols);
-      tensor::Tensor scores =
-          ops::Scale(ops::MatMul(qh, kh, false, /*trans_b=*/true), scale);
-      tensor::Tensor attn = ops::Softmax(scores);
-      attn = attn_dropout_.Forward(attn, rng);
-      head_outputs.push_back(ops::MatMul(attn, vh));
-    }
-    merged = ops::ConcatCols(head_outputs);
-  }
+  // DropoutLayer applies dropout only in training mode; mirror that here
+  // so eval forwards are deterministic and draw nothing from rng.
+  const float p = attn_dropout_.training() ? attn_dropout_.p() : 0.0f;
+  const tensor::Tensor merged =
+      ops::FusedSdpa(q, k, v, num_heads_, scale, p, rng);
   return wo_.Forward(merged);
 }
 

@@ -11,14 +11,12 @@ namespace promptem::nn {
 /// Per-sample sequences carry no padding, so no attention mask is needed.
 ///
 /// The attention core runs through the fused kernel
-/// (tensor::ops::FusedSdpa) by default: strided per-head views over the
-/// packed Q/K/V projections, one streaming-softmax pass per (head,
-/// row-tile), a single hand-written backward, and arena-backed graph-free
-/// eval. set_use_fused(false) — or PROMPTEM_UNFUSED_ATTENTION=1 in the
-/// environment — restores the original per-op composition (SelectCols /
-/// MatMul / Softmax / Dropout / ConcatCols), kept as the parity
-/// reference; both paths consume identical dropout Rng streams, so masks
-/// are bit-identical across them.
+/// (tensor::ops::FusedSdpa): strided per-head views over the packed
+/// Q/K/V projections, one streaming-softmax pass per (head, row-tile), a
+/// single hand-written backward, and arena-backed graph-free eval. The
+/// per-op composition it replaced (SelectCols / MatMul / Softmax /
+/// Dropout / ConcatCols) lives on in attention_fusion_test as the parity
+/// reference, drawing the identical dropout Rng stream.
 class MultiHeadSelfAttention : public Module {
  public:
   MultiHeadSelfAttention(int dim, int num_heads, float dropout,
@@ -29,15 +27,10 @@ class MultiHeadSelfAttention : public Module {
 
   int num_heads() const { return num_heads_; }
 
-  /// Selects the fused kernel (default) or the unfused reference path.
-  void set_use_fused(bool use_fused) { use_fused_ = use_fused; }
-  bool use_fused() const { return use_fused_; }
-
  private:
   int dim_;
   int num_heads_;
   int head_dim_;
-  bool use_fused_;
   Linear wq_;
   Linear wk_;
   Linear wv_;

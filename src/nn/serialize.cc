@@ -18,16 +18,13 @@ namespace {
 
 // Format v2 ("PEMCKPT2"): magic, u32 endianness tag, u32 entry count,
 // entries (u32 name_len, name, u32 ndim, u32 dims..., float32 data),
-// u64 FNV-1a hash of every preceding byte. Readers treat checkpoints as
-// adversarial input: every length is bounds-checked against the bytes
-// actually remaining in the file before any allocation, and the trailing
-// hash catches bit flips that leave the structure parseable. v1 files
-// ("PEMCKPT1": no endian tag, no hash) are still readable.
-constexpr char kMagicV1[8] = {'P', 'E', 'M', 'C', 'K', 'P', 'T', '1'};
-constexpr char kMagicV2[8] = {'P', 'E', 'M', 'C', 'K', 'P', 'T', '2'};
+// u64 FNV-1a hash of every byte after the magic. Readers treat
+// checkpoints as adversarial input: every length is bounds-checked
+// against the bytes actually remaining in the file before any
+// allocation, and the trailing hash catches bit flips that leave the
+// structure parseable.
+constexpr char kMagic[8] = {'P', 'E', 'M', 'C', 'K', 'P', 'T', '2'};
 constexpr uint32_t kEndianTag = 0x01020304u;
-constexpr uint64_t kFnvOffset = 1469598103934665603ull;
-constexpr uint64_t kFnvPrime = 1099511628211ull;
 constexpr uint32_t kMaxNameLen = 4096;
 constexpr uint32_t kMaxNdim = 8;
 
@@ -38,14 +35,6 @@ struct FileCloser {
 };
 using FilePtr = std::unique_ptr<std::FILE, FileCloser>;
 
-void FnvMix(uint64_t* hash, const void* data, size_t n) {
-  const auto* bytes = static_cast<const unsigned char*>(data);
-  for (size_t i = 0; i < n; ++i) {
-    *hash ^= bytes[i];
-    *hash *= kFnvPrime;
-  }
-}
-
 /// Buffered writer that hashes every byte it emits.
 class HashingWriter {
  public:
@@ -53,7 +42,7 @@ class HashingWriter {
 
   bool Write(const void* data, size_t n) {
     if (n == 0) return true;
-    FnvMix(&hash_, data, n);
+    hash_ = core::Fnv1a64(data, n, hash_);
     return std::fwrite(data, 1, n, f_) == n;
   }
   bool WriteU32(uint32_t v) { return Write(&v, sizeof(v)); }
@@ -61,7 +50,7 @@ class HashingWriter {
 
  private:
   std::FILE* f_;
-  uint64_t hash_ = kFnvOffset;
+  uint64_t hash_ = core::kFnv1aOffset;
 };
 
 /// Reader that tracks the bytes remaining in the file (so element counts
@@ -75,7 +64,7 @@ class HashingReader {
     if (n > remaining_) return false;
     if (n == 0) return true;
     if (std::fread(data, 1, n, f_) != n) return false;
-    FnvMix(&hash_, data, n);
+    hash_ = core::Fnv1a64(data, n, hash_);
     remaining_ -= n;
     return true;
   }
@@ -86,7 +75,7 @@ class HashingReader {
  private:
   std::FILE* f_;
   uint64_t remaining_;
-  uint64_t hash_ = kFnvOffset;
+  uint64_t hash_ = core::kFnv1aOffset;
 };
 
 core::Result<uint64_t> FileSize(std::FILE* f, const std::string& path) {
@@ -149,7 +138,7 @@ core::Status SaveCheckpoint(const Module& module, const std::string& path) {
     FilePtr f(std::fopen(tmp.c_str(), "wb"));
     if (!f) return core::Status::IOError("cannot open for write: " + tmp);
     HashingWriter w(f.get());
-    if (std::fwrite(kMagicV2, sizeof(kMagicV2), 1, f.get()) != 1 ||
+    if (std::fwrite(kMagic, sizeof(kMagic), 1, f.get()) != 1 ||
         !w.WriteU32(kEndianTag)) {
       status = core::Status::IOError("write header failed: " + tmp);
     } else {
@@ -191,33 +180,26 @@ core::Status LoadCheckpoint(Module* module, const std::string& path,
       std::fread(magic, sizeof(magic), 1, f.get()) != 1) {
     return core::Status::InvalidArgument("checkpoint too short: " + path);
   }
-  bool v2 = false;
-  if (std::memcmp(magic, kMagicV2, sizeof(kMagicV2)) == 0) {
-    v2 = true;
-  } else if (std::memcmp(magic, kMagicV1, sizeof(kMagicV1)) != 0) {
+  if (std::memcmp(magic, kMagic, sizeof(kMagic)) != 0) {
     return core::Status::InvalidArgument("bad checkpoint magic: " + path);
   }
 
-  // Body bytes between the magic and the (v2-only) trailing hash.
+  // Body bytes between the magic and the trailing hash.
   uint64_t body = size.value() - sizeof(magic);
-  if (v2) {
-    if (body < sizeof(uint64_t)) {
-      return core::Status::InvalidArgument("checkpoint truncated: " + path);
-    }
-    body -= sizeof(uint64_t);
+  if (body < sizeof(uint64_t)) {
+    return core::Status::InvalidArgument("checkpoint truncated: " + path);
   }
+  body -= sizeof(uint64_t);
   HashingReader r(f.get(), body);
 
-  if (v2) {
-    uint32_t endian = 0;
-    if (!r.ReadU32(&endian)) {
-      return core::Status::InvalidArgument("checkpoint truncated: " + path);
-    }
-    if (endian != kEndianTag) {
-      return core::Status::InvalidArgument(
-          core::StrFormat("checkpoint endianness mismatch (tag %08x): %s",
-                          endian, path.c_str()));
-    }
+  uint32_t endian = 0;
+  if (!r.ReadU32(&endian)) {
+    return core::Status::InvalidArgument("checkpoint truncated: " + path);
+  }
+  if (endian != kEndianTag) {
+    return core::Status::InvalidArgument(
+        core::StrFormat("checkpoint endianness mismatch (tag %08x): %s",
+                        endian, path.c_str()));
   }
   uint32_t count = 0;
   if (!r.ReadU32(&count)) {
@@ -312,15 +294,13 @@ core::Status LoadCheckpoint(Module* module, const std::string& path,
         static_cast<unsigned long long>(r.remaining()), count,
         path.c_str()));
   }
-  if (v2) {
-    uint64_t stored = 0;
-    if (std::fread(&stored, sizeof(stored), 1, f.get()) != 1) {
-      return core::Status::InvalidArgument("checkpoint truncated: " + path);
-    }
-    if (stored != r.hash()) {
-      return core::Status::InvalidArgument("checkpoint checksum mismatch: " +
-                                           path);
-    }
+  uint64_t stored = 0;
+  if (std::fread(&stored, sizeof(stored), 1, f.get()) != 1) {
+    return core::Status::InvalidArgument("checkpoint truncated: " + path);
+  }
+  if (stored != r.hash()) {
+    return core::Status::InvalidArgument("checkpoint checksum mismatch: " +
+                                         path);
   }
   if (strict && matched != by_name.size()) {
     return core::Status::FailedPrecondition(

@@ -11,8 +11,8 @@ namespace promptem::nn {
 /// Writes all named parameters of `module` to a binary checkpoint.
 /// Format v2: magic "PEMCKPT2", u32 endianness tag (0x01020304), u32
 /// count, then per parameter: u32 name_len, name bytes, u32 ndim,
-/// u32 dims..., float32 data; finally a u64 FNV-1a hash of every
-/// preceding byte. The save is atomic: it writes "<path>.tmp" and
+/// u32 dims..., float32 data; finally a u64 FNV-1a hash of every byte
+/// after the magic. The save is atomic: it writes "<path>.tmp" and
 /// renames it over `path` only after the full file (checksum included)
 /// is flushed, so an interrupted save never leaves a partial checkpoint
 /// at the target path.
@@ -21,8 +21,8 @@ core::Status SaveCheckpoint(const Module& module, const std::string& path);
 /// Loads a checkpoint into `module`, treating the file as untrusted
 /// input: every length field is bounds-checked against the bytes left in
 /// the file before anything is allocated, truncation and trailing
-/// garbage are detected, and (v2) the checksum catches byte corruption.
-/// Legacy v1 files ("PEMCKPT1": no endian tag or checksum) still load.
+/// garbage are detected, and the checksum catches byte corruption. Any
+/// other format (including the retired v1 "PEMCKPT1") is rejected.
 ///
 /// strict=true: every stored name must exist in the module with an
 /// identical shape and every module parameter must be matched.

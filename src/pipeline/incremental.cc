@@ -105,81 +105,39 @@ void IncrementalMatcher::TouchRecord(bool left, int index) {
 }
 
 MatchPipelineResult IncrementalMatcher::Match() {
-  DeltaStats stats = last_stats_;  // changed_records already set by caller
-  stats.candidates = 0;
-  stats.rescored = 0;
-  stats.reused = 0;
-
   std::unique_ptr<data::Blocker> inner = blocker_factory_(dataset_);
   PROMPTEM_CHECK(inner != nullptr);
   TombstoneFilterBlocker blocker(std::move(inner), &left_deleted_,
                                  &right_deleted_);
 
-  // The cache-consulting scorer: hits are served, misses go through the
-  // real scorer as one compacted sub-chunk (per-candidate eval forwards
-  // are independent, so compaction cannot change any probability).
-  ChunkScoreFn cached_scorer =
-      [this, &stats](const std::vector<data::PairExample>& chunk) {
-        stats.candidates += chunk.size();
-        std::vector<ProbPair> probs(chunk.size());
-        std::vector<size_t> misses;
-        std::vector<uint64_t> keys(chunk.size());
-        // A pair is restart-stable while both its records are still at
-        // version 0: its persistent key is a pure function of table
-        // indexes + content fingerprints, so a previous process's score
-        // is bitwise the score this one would compute.
-        auto persistent_key = [this](const data::PairExample& p,
-                                     uint64_t* key) {
-          if (!config_.persistent) return false;
-          if (left_version_[static_cast<size_t>(p.left_index)] != 0 ||
-              right_version_[static_cast<size_t>(p.right_index)] != 0) {
-            return false;
-          }
-          *key = EmbeddingCache::PairKey(config_.persistent_tag,
-                                         p.left_index, p.right_index);
-          return true;
-        };
-        for (size_t i = 0; i < chunk.size(); ++i) {
-          keys[i] = PairScoreKey(chunk[i].left_index, chunk[i].right_index);
-          if (auto hit = score_cache_.Find(keys[i])) {
-            probs[i] = *hit;
-            continue;
-          }
-          uint64_t pkey = 0;
-          if (persistent_key(chunk[i], &pkey)) {
-            if (auto persisted = config_.persistent->Find(pkey);
-                persisted && persisted->size() == 2) {
-              probs[i] = ProbPair{(*persisted)[0], (*persisted)[1]};
-              score_cache_.Insert(keys[i], probs[i]);
-              continue;
-            }
-          }
-          misses.push_back(i);
-        }
-        stats.reused += chunk.size() - misses.size();
-        stats.rescored += misses.size();
-        if (!misses.empty()) {
-          std::vector<data::PairExample> miss_chunk;
-          miss_chunk.reserve(misses.size());
-          for (size_t i : misses) miss_chunk.push_back(chunk[i]);
-          const std::vector<ProbPair> computed = scorer_(miss_chunk);
-          PROMPTEM_CHECK(computed.size() == misses.size());
-          for (size_t m = 0; m < misses.size(); ++m) {
-            probs[misses[m]] = computed[m];
-            score_cache_.Insert(keys[misses[m]], computed[m]);
-            uint64_t pkey = 0;
-            if (persistent_key(chunk[misses[m]], &pkey)) {
-              config_.persistent->Insert(
-                  pkey, std::vector<float>{computed[m][0], computed[m][1]});
-            }
-          }
-        }
-        return probs;
-      };
-
-  MatchPipeline pipeline(&blocker, cached_scorer, config_.pipeline);
+  // Hits are served from the version-keyed RAM tier, or — for pairs
+  // whose records are both still at version 0, i.e. bitwise the
+  // constructed tables — from the restart-stable store, whose key is a
+  // pure function of table indexes + content fingerprints.
+  const ScoreCacheTiers tiers{&score_cache_, config_.persistent.get()};
+  const auto key_of = [this, &tiers](const data::PairExample& p) {
+    ScoreCacheKeys keys;
+    keys.ram = PairScoreKey(p.left_index, p.right_index);
+    if (tiers.store != nullptr &&
+        left_version_[static_cast<size_t>(p.left_index)] == 0 &&
+        right_version_[static_cast<size_t>(p.right_index)] == 0) {
+      keys.store = EmbeddingCache::PairKey(config_.persistent_tag,
+                                           p.left_index, p.right_index);
+    }
+    return keys;
+  };
+  ScoreCacheCounts counts;
+  MatchPipeline pipeline(
+      &blocker,
+      [&](const std::vector<data::PairExample>& chunk) {
+        return ScoreThroughCache(chunk, key_of, tiers, scorer_, &counts);
+      },
+      config_.pipeline);
   MatchPipelineResult result = pipeline.Run();
-  last_stats_ = stats;
+  // changed_records was already set by the caller.
+  last_stats_.candidates = counts.hits + counts.scored;
+  last_stats_.reused = counts.hits;
+  last_stats_.rescored = counts.scored;
   return result;
 }
 
@@ -197,7 +155,10 @@ MatchPipelineResult IncrementalMatcher::ApplyDelta(const RecordDelta& delta) {
                    static_cast<size_t>(up.index) <= table.size());
     if (static_cast<size_t>(up.index) == table.size()) {
       table.push_back(up.record);
-      version.push_back(0);
+      // Version 0 means "as constructed", the store's restart-stability
+      // test; an appended record never was, so another process may have
+      // stored a different record's scores under this index.
+      version.push_back(1);
       deleted.push_back(false);
     } else {
       table[static_cast<size_t>(up.index)] = up.record;

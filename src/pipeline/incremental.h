@@ -82,10 +82,11 @@ class IncrementalMatcher {
     /// Restart-stable persistence seam. The in-process score cache is
     /// version-keyed with in-process counters, so it cannot survive a
     /// restart; pairs whose records are both still at version 0 (i.e.
-    /// bitwise the constructed tables) additionally consult/populate
-    /// this shared EmbeddingCache under `persistent_tag`, so a fresh
-    /// matcher over the same corpus re-scores nothing a previous
-    /// process already scored — through the cache's mmap backing, the
+    /// bitwise the constructed tables; appended records start at 1)
+    /// additionally consult/populate this shared EmbeddingCache under
+    /// `persistent_tag` through ScoreThroughCache, so a fresh matcher
+    /// over the same corpus re-scores nothing a previous process
+    /// already scored — read in place from the store's mapping, the
     /// warm start never materializes the full store.
     std::shared_ptr<EmbeddingCache> persistent;
     /// Content-fingerprint tag (EmbeddingCache::ContextTag) scoping the

@@ -67,10 +67,6 @@ struct MatchPipelineResult {
   std::vector<ScoredMatch> top_matches;
 };
 
-/// Scores one candidate chunk: slot i holds {P(no), P(yes)} for chunk[i].
-using ChunkScoreFn =
-    std::function<std::vector<ProbPair>(const std::vector<data::PairExample>&)>;
-
 class MatchPipeline {
  public:
   /// `blocker` is Reset() on construction and must outlive the pipeline.

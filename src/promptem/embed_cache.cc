@@ -1,96 +1,12 @@
 #include "promptem/embed_cache.h"
 
-#include <algorithm>
-#include <cstdio>
 #include <cstring>
-#include <unordered_set>
 #include <utility>
 
 #include "core/hashing.h"
 #include "core/log.h"
 
 namespace promptem::em {
-
-namespace {
-
-// Format "PEMEMBC1": magic, u32 endianness tag, u32 entry count, entries
-// (u64 key, u32 dim, float32 data), u64 FNV-1a hash of every preceding
-// byte. Same envelope discipline as checkpoint v2 (nn/serialize.cc): the
-// reader treats the file as adversarial input.
-constexpr char kMagic[8] = {'P', 'E', 'M', 'E', 'M', 'B', 'C', '1'};
-constexpr uint32_t kEndianTag = 0x01020304u;
-/// No real pair embedding is near this wide; caps allocation from a
-/// corrupted dim field even when the file is large.
-constexpr uint32_t kMaxDim = 1u << 20;
-
-struct FileCloser {
-  void operator()(std::FILE* f) const {
-    if (f != nullptr) std::fclose(f);
-  }
-};
-using FilePtr = std::unique_ptr<std::FILE, FileCloser>;
-
-/// fwrite that folds every byte into a running FNV-1a hash.
-class HashingWriter {
- public:
-  explicit HashingWriter(std::FILE* f) : f_(f) {}
-
-  bool Write(const void* data, size_t n) {
-    hash_ = core::Fnv1a64(data, n, hash_);
-    return std::fwrite(data, 1, n, f_) == n;
-  }
-  bool WriteU32(uint32_t v) { return Write(&v, sizeof(v)); }
-  bool WriteU64(uint64_t v) { return Write(&v, sizeof(v)); }
-  uint64_t hash() const { return hash_; }
-
- private:
-  std::FILE* f_;
-  uint64_t hash_ = core::kFnv1aOffset;
-};
-
-/// fread that tracks remaining bytes (for bounds checks) and the hash of
-/// everything consumed so far.
-class HashingReader {
- public:
-  HashingReader(std::FILE* f, uint64_t file_size)
-      : f_(f), remaining_(file_size) {}
-
-  bool Read(void* data, size_t n) {
-    if (n > remaining_) return false;
-    if (std::fread(data, 1, n, f_) != n) return false;
-    remaining_ -= n;
-    hash_ = core::Fnv1a64(data, n, hash_);
-    return true;
-  }
-  bool ReadU32(uint32_t* v) { return Read(v, sizeof(*v)); }
-  /// Trailer read: not folded into the hash (it IS the hash).
-  bool ReadRawU64(uint64_t* v) {
-    if (sizeof(*v) > remaining_) return false;
-    if (std::fread(v, 1, sizeof(*v), f_) != sizeof(*v)) return false;
-    remaining_ -= sizeof(*v);
-    return true;
-  }
-
-  uint64_t remaining() const { return remaining_; }
-  uint64_t hash() const { return hash_; }
-
- private:
-  std::FILE* f_;
-  uint64_t remaining_;
-  uint64_t hash_ = core::kFnv1aOffset;
-};
-
-bool FileSize(const std::string& path, uint64_t* size) {
-  FilePtr f(std::fopen(path.c_str(), "rb"));
-  if (!f) return false;
-  if (std::fseek(f.get(), 0, SEEK_END) != 0) return false;
-  const long end = std::ftell(f.get());
-  if (end < 0) return false;
-  *size = static_cast<uint64_t>(end);
-  return true;
-}
-
-}  // namespace
 
 EmbeddingCache::EmbeddingCache(size_t capacity) : cache_(capacity) {}
 
@@ -123,47 +39,19 @@ std::shared_ptr<const std::vector<float>> EmbeddingCache::Find(uint64_t key) {
   return value;
 }
 
-core::Status EmbeddingCache::Attach(const std::string& path,
-                                    CacheBackend backend) {
-  backend_ = backend;
-  if (backend == CacheBackend::kRam) return Load(path);
-  attach_path_ = path;
-  const auto fresh_index = [&] {
-    core::HashIndex::Options options;
-    options.backend = core::HashIndex::Backend::kMmap;
-    options.path = path;
-    return std::make_shared<core::HashIndex>(options);
-  };
-  uint64_t file_size = 0;
-  if (!FileSize(path, &file_size)) {
-    // Cold start: no store yet. The binding is live — the first flush
-    // creates the file — but report NotFound so callers can say so.
-    base_ = fresh_index();
-    return core::Status::NotFound("cannot open: " + path);
-  }
-  char magic[8] = {0};
-  {
-    FilePtr f(std::fopen(path.c_str(), "rb"));
-    if (f && std::fread(magic, 1, sizeof(magic), f.get()) != sizeof(magic)) {
-      std::memset(magic, 0, sizeof(magic));
-    }
-  }
-  if (std::memcmp(magic, kMagic, sizeof(kMagic)) == 0) {
-    // A legacy flat file: load it into the overlay once; the next flush
-    // rewrites `path` in the index format.
-    base_ = fresh_index();
-    return Load(path);
-  }
+core::Status EmbeddingCache::Attach(const std::string& path) {
   auto opened = core::HashIndex::Open(path);
-  if (!opened.ok()) {
-    // Corrupt store: rejected wholesale (no partial load), but the
-    // binding stays live so the rebuild's next flush replaces the bad
-    // file with a valid index.
-    base_ = fresh_index();
-    return opened.status();
+  if (opened.ok()) {
+    base_ = std::move(opened).value();
+    return core::Status::OK();
   }
-  base_ = std::move(opened).value();
-  return core::Status::OK();
+  // No store yet, or an unusable one: bind an empty index at `path` so
+  // the first flush creates (or replaces) the file, and report why.
+  core::HashIndex::Options options;
+  options.backend = core::HashIndex::Backend::kMmap;
+  options.path = path;
+  base_ = std::make_shared<core::HashIndex>(options);
+  return opened.status();
 }
 
 void EmbeddingCache::Insert(uint64_t key, std::vector<float> embedding) {
@@ -174,24 +62,8 @@ void EmbeddingCache::Insert(uint64_t key, std::vector<float> embedding) {
   if (n % every == 0) MaybeAutosave();
 }
 
-void EmbeddingCache::EnableAutosave(std::string path,
-                                    size_t every_n_inserts) {
-  std::lock_guard<std::mutex> lock(autosave_config_mu_);
-  autosave_path_ = std::move(path);
-  autosave_every_.store(autosave_path_.empty() ? 0 : every_n_inserts,
-                        std::memory_order_relaxed);
-}
-
-core::Status EmbeddingCache::FlushNow() {
-  std::string path;
-  {
-    std::lock_guard<std::mutex> lock(autosave_config_mu_);
-    path = autosave_path_;
-  }
-  if (path.empty()) {
-    return core::Status::FailedPrecondition("autosave path not configured");
-  }
-  return Save(path);
+void EmbeddingCache::EnableAutosave(size_t every_n_inserts) {
+  autosave_every_.store(every_n_inserts, std::memory_order_relaxed);
 }
 
 void EmbeddingCache::MaybeAutosave() {
@@ -201,13 +73,7 @@ void EmbeddingCache::MaybeAutosave() {
   // behind disk I/O twice.
   std::unique_lock<std::mutex> lock(save_mu_, std::try_to_lock);
   if (!lock.owns_lock()) return;
-  std::string path;
-  {
-    std::lock_guard<std::mutex> config_lock(autosave_config_mu_);
-    path = autosave_path_;
-  }
-  if (path.empty()) return;
-  const core::Status saved = SaveUnlocked(path);
+  const core::Status saved = SaveUnlocked();
   if (saved.ok()) {
     autosave_flushes_.fetch_add(1, std::memory_order_relaxed);
   } else {
@@ -216,157 +82,23 @@ void EmbeddingCache::MaybeAutosave() {
   }
 }
 
-core::Status EmbeddingCache::Save(const std::string& path) const {
+core::Status EmbeddingCache::Save() {
   std::lock_guard<std::mutex> lock(save_mu_);
-  return SaveUnlocked(path);
+  return SaveUnlocked();
 }
 
-core::Status EmbeddingCache::SaveUnlocked(const std::string& path) const {
-  if (backend_ == CacheBackend::kMmap && base_ && path == attach_path_) {
-    // Only the overlay (the dirty region) is staged; everything already
-    // persisted streams file -> file inside Seal's atomic tmp+rename
-    // grow. Re-staging an unchanged entry replaces it with identical
-    // bytes, so repeated flushes converge on the same image.
-    cache_.ForEachLive(
-        [&](uint64_t key,
-            const std::shared_ptr<const std::vector<float>>& v) {
-          base_->Add(key, 0, v->data(), v->size() * sizeof(float));
-        });
-    return base_->Seal();
+core::Status EmbeddingCache::SaveUnlocked() const {
+  if (!base_) {
+    return core::Status::FailedPrecondition(
+        "embedding cache has no attached store");
   }
-  return SaveLegacyUnlocked(path);
-}
-
-core::Status EmbeddingCache::SaveLegacyUnlocked(
-    const std::string& path) const {
-  // Snapshot and sort so identical cache contents always serialize to an
-  // identical byte image (ForEachLive order is shard-layout dependent).
-  std::vector<std::pair<uint64_t, std::shared_ptr<const std::vector<float>>>>
-      entries;
-  cache_.ForEachLive([&](uint64_t key,
-                         const std::shared_ptr<const std::vector<float>>& v) {
-    entries.emplace_back(key, v);
-  });
-  if (base_) {
-    // Exporting an mmap-backed cache to a flat file: persisted entries
-    // the overlay does not shadow come along too.
-    std::unordered_set<uint64_t> overlay_keys;
-    overlay_keys.reserve(entries.size());
-    for (const auto& [key, value] : entries) overlay_keys.insert(key);
-    base_->snapshot().ForEach([&](uint64_t key, core::HashIndex::Span span) {
-      if (overlay_keys.count(key) != 0 || span.size % sizeof(float) != 0) {
-        return;
-      }
-      auto value =
-          std::make_shared<std::vector<float>>(span.size / sizeof(float));
-      std::memcpy(value->data(), span.data, static_cast<size_t>(span.size));
-      entries.emplace_back(key, std::move(value));
-    });
-  }
-  std::sort(entries.begin(), entries.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-  if (entries.size() > static_cast<size_t>(UINT32_MAX)) {
-    return core::Status::InvalidArgument("embedding cache too large to save");
-  }
-
-  const std::string tmp = path + ".tmp";
-  core::Status status;
-  {
-    FilePtr f(std::fopen(tmp.c_str(), "wb"));
-    if (!f) return core::Status::IOError("cannot open for write: " + tmp);
-    HashingWriter w(f.get());
-    bool ok = w.Write(kMagic, sizeof(kMagic)) && w.WriteU32(kEndianTag) &&
-              w.WriteU32(static_cast<uint32_t>(entries.size()));
-    for (const auto& [key, value] : entries) {
-      if (!ok) break;
-      ok = w.WriteU64(key) &&
-           w.WriteU32(static_cast<uint32_t>(value->size())) &&
-           w.Write(value->data(), value->size() * sizeof(float));
-    }
-    if (ok) {
-      const uint64_t hash = w.hash();
-      ok = std::fwrite(&hash, 1, sizeof(hash), f.get()) == sizeof(hash);
-    }
-    if (ok) ok = std::fflush(f.get()) == 0;
-    if (!ok) status = core::Status::IOError("write failed: " + tmp);
-  }
-  if (!status.ok()) {
-    std::remove(tmp.c_str());
-    return status;
-  }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    std::remove(tmp.c_str());
-    return core::Status::IOError("rename failed: " + path);
-  }
-  return core::Status::OK();
-}
-
-core::Status EmbeddingCache::Load(const std::string& path) {
-  uint64_t file_size = 0;
-  if (!FileSize(path, &file_size)) {
-    return core::Status::NotFound("cannot open: " + path);
-  }
-  FilePtr f(std::fopen(path.c_str(), "rb"));
-  if (!f) return core::Status::NotFound("cannot open: " + path);
-  HashingReader r(f.get(), file_size);
-
-  // Every rejection names the failed check and the byte offset the
-  // reader had reached — enough to localize a flipped byte or a
-  // truncation without a hex dump. fault_injection_test asserts this.
-  auto corrupt = [&path, &r, file_size](const std::string& what) {
-    return core::Status::InvalidArgument(
-        "corrupt embedding cache (" + what + " at offset " +
-        std::to_string(file_size - r.remaining()) + "): " + path);
-  };
-
-  char magic[8];
-  if (!r.Read(magic, sizeof(magic))) return corrupt("short magic");
-  if (std::memcmp(magic, kMagic, sizeof(kMagic)) != 0) {
-    return corrupt("bad magic");
-  }
-  uint32_t endian = 0;
-  if (!r.ReadU32(&endian)) return corrupt("short endian tag");
-  if (endian != kEndianTag) return corrupt("endianness mismatch");
-  uint32_t count = 0;
-  if (!r.ReadU32(&count)) return corrupt("short count");
-  // Each entry needs at least key + dim; the trailer needs 8 more.
-  const uint64_t min_entry = sizeof(uint64_t) + sizeof(uint32_t);
-  if (static_cast<uint64_t>(count) * min_entry + sizeof(uint64_t) >
-      r.remaining()) {
-    return corrupt("count exceeds file size");
-  }
-
-  // Fully validate into a staging list before touching the cache: a file
-  // that fails any check leaves the cache exactly as it was.
-  std::vector<std::pair<uint64_t, std::vector<float>>> staged;
-  staged.reserve(count);
-  for (uint32_t i = 0; i < count; ++i) {
-    uint64_t key = 0;
-    uint32_t dim = 0;
-    if (!r.Read(&key, sizeof(key)) || !r.ReadU32(&dim)) {
-      return corrupt("short entry header");
-    }
-    if (dim > kMaxDim) return corrupt("dim too large");
-    if (static_cast<uint64_t>(dim) * sizeof(float) + sizeof(uint64_t) >
-        r.remaining()) {
-      return corrupt("entry exceeds file size");
-    }
-    std::vector<float> values(dim);
-    if (!r.Read(values.data(), static_cast<size_t>(dim) * sizeof(float))) {
-      return corrupt("short entry data");
-    }
-    staged.emplace_back(key, std::move(values));
-  }
-  const uint64_t computed = r.hash();
-  uint64_t stored = 0;
-  if (!r.ReadRawU64(&stored)) return corrupt("missing checksum");
-  if (stored != computed) return corrupt("checksum mismatch");
-  if (r.remaining() != 0) return corrupt("trailing garbage");
-
-  for (auto& [key, values] : staged) {
-    cache_.Insert(key, std::move(values));
-  }
-  return core::Status::OK();
+  // Re-staging an unchanged entry replaces it with identical bytes, so
+  // repeated flushes converge on the same image.
+  cache_.ForEachLive(
+      [&](uint64_t key, const std::shared_ptr<const std::vector<float>>& v) {
+        base_->Add(key, 0, v->data(), v->size() * sizeof(float));
+      });
+  return base_->Seal();
 }
 
 namespace {

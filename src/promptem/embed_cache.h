@@ -35,16 +35,6 @@ class EmbeddingCache {
  public:
   static constexpr size_t kDefaultCapacity = 1u << 18;
 
-  /// Where the persisted store lives.
-  ///  - kRam: the legacy "PEMEMBC1" flat file; Load materializes every
-  ///    entry into the in-process cache up front.
-  ///  - kMmap: a core::HashIndex file. Entries are read in place from
-  ///    the mapping on first touch (a restart warm-starts without
-  ///    round-tripping the whole store through RAM), and a flush only
-  ///    stages the in-process overlay — untouched persisted entries
-  ///    stream file -> file through the index's atomic tmp+rename grow.
-  enum class CacheBackend { kRam, kMmap };
-
   explicit EmbeddingCache(size_t capacity = kDefaultCapacity);
 
   std::shared_ptr<const std::vector<float>> Find(uint64_t key);
@@ -58,55 +48,38 @@ class EmbeddingCache {
   }
   size_t LiveEntries() const { return cache_.LiveEntries(); }
 
-  /// Writes every live entry to `path` in the checkpoint-v2 envelope:
-  /// magic "PEMEMBC1", u32 endianness tag, u32 entry count, per entry a
-  /// u64 key + u32 dim + float32 data, and a trailing u64 FNV-1a hash of
-  /// every preceding byte. Atomic: written to "<path>.tmp" and renamed
-  /// over `path` only after a full flush, so an interrupted save never
-  /// leaves a partial cache file. Entries are written in sorted key order
-  /// so identical contents produce an identical file image.
-  core::Status Save(const std::string& path) const;
+  /// Binds this cache to a persistent core::HashIndex store ("PEMHIDX1")
+  /// at `path`. Entries are read in place from the mapping on first
+  /// touch, so a restart warm-starts without round-tripping the whole
+  /// store through RAM. Returns NotFound when no file exists yet (the
+  /// store is still attached — a cold start). Any unusable file —
+  /// corrupt, truncated, or in another format — is rejected wholesale:
+  /// nothing of it is trusted, the in-process entries are untouched, and
+  /// the binding stays live so the next Save replaces the file. Call
+  /// before the cache is shared across threads.
+  core::Status Attach(const std::string& path);
 
-  /// Loads entries from `path` into the cache, treating the file as
-  /// untrusted input: every count and dimension is bounds-checked against
-  /// the bytes actually remaining before any allocation, and truncation,
-  /// trailing garbage, and byte corruption all fail the checksum or the
-  /// structure checks. On any error the cache is left exactly as it was —
-  /// a corrupt file is rejected wholesale, never partially trusted.
-  core::Status Load(const std::string& path);
-
-  /// Binds this cache to a persistent store at `path`. kRam is exactly
-  /// Load. kMmap opens (or lazily creates) a HashIndex file: reads fall
-  /// through the in-process cache to the mapping, flushes through Save /
-  /// autosave grow the file in place of rewriting the overlay only. A
-  /// legacy "PEMEMBC1" file at `path` is loaded into the overlay and
-  /// migrated to the index format by the next flush. Returns NotFound
-  /// when no file exists yet (the store is still attached — a cold
-  /// start); corruption is rejected wholesale and nothing is attached.
-  /// Call before the cache is shared across threads.
-  core::Status Attach(const std::string& path, CacheBackend backend);
-
-  CacheBackend backend() const { return backend_; }
-  /// Keys in the attached mmap store (0 when kRam / unattached).
+  /// Keys in the attached store (0 when unattached).
   size_t PersistedEntries() const {
     return base_ ? base_->key_count() : 0;
   }
 
-  /// Crash-durable persistence: after every `every_n_inserts` Inserts the
-  /// inserting thread flushes the cache to `path` through Save's atomic
-  /// tmp+rename path. Without it a cache is only persisted by an explicit
-  /// end-of-run Save, so a crash or Ctrl-C loses every warm entry; with
-  /// it at most every_n_inserts-1 entries are ever at risk, and a kill at
-  /// any instant leaves either the previous file or the new one on disk —
-  /// never a torn write (fault_injection_test kills mid-flush to pin
-  /// this). Concurrent triggers collapse into one flush; a flush already
-  /// in progress is skipped, not queued. Pass every_n_inserts = 0 to
-  /// disable again.
-  void EnableAutosave(std::string path, size_t every_n_inserts);
+  /// Flushes to the attached store: only the in-process entries are
+  /// staged, and everything already persisted streams file -> file
+  /// inside the index's atomic tmp+rename grow, so a crash at any
+  /// instant leaves the old complete file or the new one — never a torn
+  /// write. Serialized against autosave, so it is also the signal
+  /// handlers' flush. FailedPrecondition when unattached.
+  core::Status Save();
 
-  /// Immediate flush through the same serialized save path (the SIGTERM
-  /// handler's entry point; safe against a concurrent autosave).
-  core::Status FlushNow();
+  /// Crash-durable persistence: after every `every_n_inserts` Inserts the
+  /// inserting thread Saves. Without it a cache is only persisted by an
+  /// explicit end-of-run Save, so a crash or Ctrl-C loses every warm
+  /// entry; with it at most every_n_inserts-1 entries are ever at risk
+  /// (fault_injection_test kills mid-flush to pin this). Concurrent
+  /// triggers collapse into one flush; a flush already in progress is
+  /// skipped, not queued. Pass 0 to disable again.
+  void EnableAutosave(size_t every_n_inserts);
 
   /// Autosave flushes completed so far (observability / tests).
   uint64_t autosave_flushes() const {
@@ -123,27 +96,20 @@ class EmbeddingCache {
                           int right_index);
 
  private:
-  core::Status SaveUnlocked(const std::string& path) const;
-  /// Legacy-format write of the overlay merged over the mmap base (the
-  /// kRam Save, and Save-to-a-different-path under kMmap).
-  core::Status SaveLegacyUnlocked(const std::string& path) const;
+  core::Status SaveUnlocked() const;
   /// Flush if no other flush is running (never blocks the inserter).
   void MaybeAutosave();
 
   core::ConcurrentCache<std::vector<float>> cache_;
 
-  // Persistent-store binding. Written only by Attach (before the cache
-  // is shared); base_ itself is internally thread-safe (snapshot reads,
-  // serialized seals under save_mu_).
-  CacheBackend backend_ = CacheBackend::kRam;
-  std::string attach_path_;
+  // The attached store. Written only by Attach (before the cache is
+  // shared); the index itself is internally thread-safe (snapshot
+  // reads, seals serialized under save_mu_).
   std::shared_ptr<core::HashIndex> base_;
 
-  // Autosave state. `save_mu_` serializes every flush (autosave or
-  // FlushNow) so two threads can never interleave writes to `path.tmp`.
-  mutable std::mutex save_mu_;
-  std::mutex autosave_config_mu_;
-  std::string autosave_path_;
+  // `save_mu_` serializes every flush (autosave or Save) so two threads
+  // can never interleave writes to the store's tmp file.
+  std::mutex save_mu_;
   std::atomic<size_t> autosave_every_{0};
   std::atomic<uint64_t> insert_count_{0};
   std::atomic<uint64_t> autosave_flushes_{0};

@@ -90,49 +90,16 @@ std::vector<std::vector<float>> EmbedBatch(const PairEmbedFn& embed,
   return points;
 }
 
-namespace {
-
-/// Indexes of the keys that miss `find` — the sub-batch the engine must
-/// actually compute.
-template <typename FindFn, typename HitFn>
-std::vector<size_t> PartitionHits(const std::vector<uint64_t>& keys,
-                                  const FindFn& find, const HitFn& on_hit) {
-  std::vector<size_t> misses;
-  for (size_t i = 0; i < keys.size(); ++i) {
-    if (auto hit = find(keys[i])) {
-      on_hit(i, *hit);
-    } else {
-      misses.push_back(i);
-    }
-  }
-  return misses;
+bool FindStoredScore(EmbeddingCache* store, uint64_t key, ProbPair* out) {
+  const auto stored = store->Find(key);
+  if (stored == nullptr || stored->size() != 2) return false;
+  *out = {(*stored)[0], (*stored)[1]};
+  return true;
 }
 
-}  // namespace
-
-std::vector<ProbPair> ScoreBatchCached(PairClassifier* model,
-                                       const std::vector<EncodedPair>& xs,
-                                       core::ConcurrentCache<ProbPair>* cache,
-                                       const std::vector<uint64_t>& keys) {
-  if (cache == nullptr || keys.empty()) return ScoreBatch(model, xs);
-  PROMPTEM_CHECK(keys.size() == xs.size());
-  std::vector<ProbPair> probs(xs.size());
-  const std::vector<size_t> misses = PartitionHits(
-      keys, [&](uint64_t k) { return cache->Find(k); },
-      [&](size_t i, const ProbPair& v) { probs[i] = v; });
-  if (misses.empty()) return probs;
-  std::vector<EncodedPair> miss_xs;
-  miss_xs.reserve(misses.size());
-  for (size_t i : misses) miss_xs.push_back(xs[i]);
-  // The compacted sub-batch goes through the identical engine path; each
-  // slot is a pure function of its pair, so compaction cannot change any
-  // value.
-  const std::vector<ProbPair> computed = ScoreBatch(model, miss_xs);
-  for (size_t m = 0; m < misses.size(); ++m) {
-    probs[misses[m]] = computed[m];
-    cache->Insert(keys[misses[m]], computed[m]);
-  }
-  return probs;
+void InsertStoredScore(EmbeddingCache* store, uint64_t key,
+                       const ProbPair& p) {
+  store->Insert(key, {p[0], p[1]});
 }
 
 std::vector<std::vector<float>> EmbedBatchCached(
@@ -143,9 +110,14 @@ std::vector<std::vector<float>> EmbedBatchCached(
   PROMPTEM_CHECK(keys.size() == xs.size());
   PROMPTEM_CHECK(seeds.empty() || seeds.size() == xs.size());
   std::vector<std::vector<float>> points(xs.size());
-  const std::vector<size_t> misses = PartitionHits(
-      keys, [&](uint64_t k) { return cache->Find(k); },
-      [&](size_t i, const std::vector<float>& v) { points[i] = v; });
+  std::vector<size_t> misses;
+  for (size_t i = 0; i < keys.size(); ++i) {
+    if (auto hit = cache->Find(keys[i])) {
+      points[i] = *hit;
+    } else {
+      misses.push_back(i);
+    }
+  }
   if (misses.empty()) return points;
   std::vector<EncodedPair> miss_xs;
   std::vector<uint64_t> miss_seeds;

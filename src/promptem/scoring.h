@@ -4,9 +4,11 @@
 #include <array>
 #include <cstdint>
 #include <functional>
+#include <optional>
 #include <vector>
 
 #include "core/concurrent_cache.h"
+#include "data/dataset.h"
 #include "promptem/embed_cache.h"
 #include "promptem/trainer.h"
 #include "tensor/quant.h"
@@ -109,22 +111,100 @@ std::vector<std::vector<float>> EmbedBatch(const PairEmbedFn& embed,
                                            const std::vector<uint64_t>& seeds =
                                                {});
 
-/// Cached variants of the deterministic eval sweeps. `keys[i]` names
-/// xs[i]'s result in the cache (a composite over dataset/model
-/// fingerprints and the pair's table indexes — see EmbeddingCache's key
-/// builders); only misses go through the engine, and every computed value
-/// is inserted for the next sweep. Because eval forwards are pure
-/// functions of the input (per-sample rng draws are unused), output is
-/// bitwise identical to the uncached sweep at any pool size and any cache
-/// state. Stochastic paths (ScoreBatchStochastic, MC-Dropout) have no
-/// cached variant by design: their outputs are not pure in the key.
-///
-/// `cache == nullptr` (or empty `keys`) degrades to the uncached sweep.
-std::vector<ProbPair> ScoreBatchCached(
-    PairClassifier* model, const std::vector<EncodedPair>& xs,
-    core::ConcurrentCache<ProbPair>* cache,
-    const std::vector<uint64_t>& keys);
+/// Scores one candidate chunk: slot i holds {P(no), P(yes)} for chunk[i].
+using ChunkScoreFn =
+    std::function<std::vector<ProbPair>(const std::vector<data::PairExample>&)>;
 
+/// One pair's keys in ScoreThroughCache's tiers.
+struct ScoreCacheKeys {
+  /// Key in the RAM tier (unused when there is none).
+  uint64_t ram = 0;
+  /// Key in the persistent store — set only for restart-stable pairs,
+  /// whose score a previous process computed bitwise the same.
+  std::optional<uint64_t> store;
+};
+
+/// Where cached scores live; either tier may be absent.
+struct ScoreCacheTiers {
+  core::ConcurrentCache<ProbPair>* ram = nullptr;
+  /// Scores are stored as 2-float entries (see ScoreThroughCache).
+  EmbeddingCache* store = nullptr;
+};
+
+/// What ScoreThroughCache paid; each call adds hits + scored == pairs.
+struct ScoreCacheCounts {
+  size_t hits = 0;    ///< served from a tier
+  size_t scored = 0;  ///< sent through the scorer
+};
+
+/// A score's store entry is the 2-float vector {P(no), P(yes)}. Find
+/// returns false when the key is absent or holds anything else.
+bool FindStoredScore(EmbeddingCache* store, uint64_t key, ProbPair* out);
+void InsertStoredScore(EmbeddingCache* store, uint64_t key, const ProbPair& p);
+
+/// The one cached-scoring path. For each pair, `key_of(pair)` returns its
+/// ScoreCacheKeys; the pair is served from the RAM tier, else (restart-
+/// stable pairs only) from the store, promoting a store hit into the RAM
+/// tier. Every miss goes through `score` as one compacted chunk and is
+/// written back into each tier that applies. Because eval scores are pure
+/// functions of their pair, the result is bitwise the uncached
+/// `score(pairs)` at any pool size and any cache state. Only
+/// deterministic scorers may be cached — never MC-Dropout.
+///
+/// A template so the hit loop inlines `key_of`: on a hot cache that loop
+/// is the whole cost of a request.
+template <typename KeyFn>
+std::vector<ProbPair> ScoreThroughCache(
+    const std::vector<data::PairExample>& pairs, const KeyFn& key_of,
+    const ScoreCacheTiers& tiers, const ChunkScoreFn& score,
+    ScoreCacheCounts* counts) {
+  if (tiers.ram == nullptr && tiers.store == nullptr) {
+    counts->scored += pairs.size();
+    return score(pairs);
+  }
+  std::vector<ProbPair> probs(pairs.size());
+  std::vector<size_t> misses;
+  std::vector<ScoreCacheKeys> miss_keys;
+  for (size_t i = 0; i < pairs.size(); ++i) {
+    const ScoreCacheKeys keys = key_of(pairs[i]);
+    if (tiers.ram != nullptr) {
+      if (auto hit = tiers.ram->Find(keys.ram)) {
+        probs[i] = *hit;
+        continue;
+      }
+    }
+    if (keys.store && tiers.store != nullptr &&
+        FindStoredScore(tiers.store, *keys.store, &probs[i])) {
+      if (tiers.ram != nullptr) tiers.ram->Insert(keys.ram, probs[i]);
+      continue;
+    }
+    misses.push_back(i);
+    miss_keys.push_back(keys);
+  }
+  counts->hits += pairs.size() - misses.size();
+  counts->scored += misses.size();
+  if (misses.empty()) return probs;
+  std::vector<data::PairExample> miss_pairs;
+  miss_pairs.reserve(misses.size());
+  for (size_t i : misses) miss_pairs.push_back(pairs[i]);
+  const std::vector<ProbPair> computed = score(miss_pairs);
+  PROMPTEM_CHECK(computed.size() == misses.size());
+  for (size_t m = 0; m < misses.size(); ++m) {
+    probs[misses[m]] = computed[m];
+    if (tiers.ram != nullptr) tiers.ram->Insert(miss_keys[m].ram, computed[m]);
+    if (miss_keys[m].store && tiers.store != nullptr) {
+      InsertStoredScore(tiers.store, *miss_keys[m].store, computed[m]);
+    }
+  }
+  return probs;
+}
+
+/// Cached EmbedBatch. `keys[i]` names xs[i]'s embedding in the cache (a
+/// composite over dataset/model fingerprints and the pair's table
+/// indexes — see EmbeddingCache's key builders); only misses go through
+/// the engine, and every computed value is inserted for the next sweep.
+/// Output is bitwise the uncached sweep at any pool size and cache
+/// state. `cache == nullptr` (or empty `keys`) degrades to EmbedBatch.
 std::vector<std::vector<float>> EmbedBatchCached(
     const PairEmbedFn& embed, const std::vector<EncodedPair>& xs,
     const std::vector<uint64_t>& seeds, EmbeddingCache* cache,

@@ -10,6 +10,7 @@
 #include "core/log.h"
 #include "data/json.h"
 #include "data/record.h"
+#include "promptem/scoring.h"
 
 namespace promptem::serve {
 
@@ -138,42 +139,24 @@ bool MatchService::ValidateRequest(const MatchRequest& request, Entry** entry,
 std::vector<std::array<float, 2>> MatchService::ScoreCached(
     Entry* entry, const std::vector<data::PairExample>& pairs) {
   PROMPTEM_CHECK_MSG(trained_, "MatchService::TrainAll must run first");
-  em::EmbeddingCache* cache = config_.score_cache.get();
-  if (cache == nullptr) {
-    sweeps_.fetch_add(1, std::memory_order_relaxed);
-    pairs_scored_.fetch_add(pairs.size(), std::memory_order_relaxed);
-    return entry->matcher->ScoreProbs(ctx_, pairs);
-  }
-
-  std::vector<std::array<float, 2>> probs(pairs.size());
-  std::vector<size_t> miss_slots;
-  std::vector<data::PairExample> miss_pairs;
-  for (size_t i = 0; i < pairs.size(); ++i) {
-    const uint64_t key = em::EmbeddingCache::PairKey(
-        entry->context_tag, pairs[i].left_index, pairs[i].right_index);
-    const auto hit = cache->Find(key);
-    if (hit != nullptr && hit->size() == 2) {
-      probs[i] = {(*hit)[0], (*hit)[1]};
-      score_hits_.fetch_add(1, std::memory_order_relaxed);
-    } else {
-      miss_slots.push_back(i);
-      miss_pairs.push_back(pairs[i]);
-    }
-  }
-  if (!miss_pairs.empty()) {
-    sweeps_.fetch_add(1, std::memory_order_relaxed);
-    pairs_scored_.fetch_add(miss_pairs.size(), std::memory_order_relaxed);
-    const std::vector<std::array<float, 2>> fresh =
-        entry->matcher->ScoreProbs(ctx_, miss_pairs);
-    PROMPTEM_CHECK(fresh.size() == miss_pairs.size());
-    for (size_t m = 0; m < miss_slots.size(); ++m) {
-      probs[miss_slots[m]] = fresh[m];
-      const uint64_t key = em::EmbeddingCache::PairKey(
-          entry->context_tag, miss_pairs[m].left_index,
-          miss_pairs[m].right_index);
-      cache->Insert(key, {fresh[m][0], fresh[m][1]});
-    }
-  }
+  // Served scores are keyed by restart-stable table indexes only, so
+  // every pair lives in the store tier.
+  const uint64_t tag = entry->context_tag;
+  const auto key_of = [tag](const data::PairExample& p) {
+    em::ScoreCacheKeys keys;
+    keys.store = em::EmbeddingCache::PairKey(tag, p.left_index, p.right_index);
+    return keys;
+  };
+  const em::ChunkScoreFn sweep =
+      [this, entry](const std::vector<data::PairExample>& misses) {
+        sweeps_.fetch_add(1, std::memory_order_relaxed);
+        return entry->matcher->ScoreProbs(ctx_, misses);
+      };
+  em::ScoreCacheCounts counts;
+  std::vector<std::array<float, 2>> probs = em::ScoreThroughCache(
+      pairs, key_of, {nullptr, config_.score_cache.get()}, sweep, &counts);
+  score_hits_.fetch_add(counts.hits, std::memory_order_relaxed);
+  pairs_scored_.fetch_add(counts.scored, std::memory_order_relaxed);
   return probs;
 }
 

@@ -50,9 +50,8 @@ class MatchService {
     /// restarted over the same tables and seed warm-starts: previously
     /// served pairs hit without touching the model. Also installable as
     /// the global embedding cache so startup training's clustering
-    /// sweeps share the file. Attach the cache with CacheBackend::kMmap
-    /// (`--cache-backend mmap`) and the warm start reads the store in
-    /// place from the mapping — a daemon restart over a beyond-RAM
+    /// sweeps share the file. The warm start reads the attached store in
+    /// place from its mapping — a daemon restart over a beyond-RAM
     /// corpus never materializes the full cache (InfoJson reports the
     /// mapped entry count as `score_cache_persisted`).
     std::shared_ptr<em::EmbeddingCache> score_cache;
@@ -108,9 +107,9 @@ class MatchService {
   Entry* FindEntry(const std::string& name);
   const Entry* FindEntry(const std::string& name) const;
 
-  /// ScoreProbs through the score cache: hits are copied out, misses are
-  /// compacted into one sweep and inserted for next time. Bitwise equal
-  /// to the uncached sweep (values are pure functions of their keys).
+  /// ScoreProbs through em::ScoreThroughCache over the score cache:
+  /// hits are copied out, misses ride one sweep and are inserted for
+  /// next time. Bitwise equal to the uncached sweep.
   std::vector<std::array<float, 2>> ScoreCached(
       Entry* entry, const std::vector<data::PairExample>& pairs);
 

@@ -86,6 +86,43 @@ Tensor ReferenceSdpa(const Tensor& q, const Tensor& k, const Tensor& v,
   return ops::ConcatCols(heads);
 }
 
+/// The per-op composition MultiHeadSelfAttention ran before fusion, built
+/// from the module's own parameters (so gradients land on them too): the
+/// parity reference for its fused forward. A DropoutLayer in the module's
+/// mode draws from `rng` exactly as the module's own dropout does.
+Tensor ReferenceAttention(const nn::MultiHeadSelfAttention& attn,
+                          const Tensor& x, float dropout_p, core::Rng* rng) {
+  std::map<std::string, Tensor> params;
+  for (const auto& np : attn.NamedParameters()) {
+    params.emplace(np.name, np.param);
+  }
+  const auto linear = [&params](const std::string& name, const Tensor& in) {
+    return ops::AddBias(
+        ops::MatMul(in, params.at(name + ".weight"), false, true),
+        params.at(name + ".bias"));
+  };
+  nn::DropoutLayer dropout(dropout_p);
+  dropout.SetTraining(attn.training());
+  const int hd = x.dim(1) / attn.num_heads();
+  const Tensor q = linear("wq", x);
+  const Tensor k = linear("wk", x);
+  const Tensor v = linear("wv", x);
+  const float scale = 1.0f / std::sqrt(static_cast<float>(hd));
+  std::vector<Tensor> heads;
+  for (int h = 0; h < attn.num_heads(); ++h) {
+    std::vector<int> cols(hd);
+    for (int c = 0; c < hd; ++c) cols[c] = h * hd + c;
+    const Tensor qh = ops::SelectCols(q, cols);
+    const Tensor kh = ops::SelectCols(k, cols);
+    const Tensor vh = ops::SelectCols(v, cols);
+    Tensor weights =
+        ops::Softmax(ops::Scale(ops::MatMul(qh, kh, false, true), scale));
+    weights = dropout.Forward(weights, rng);
+    heads.push_back(ops::MatMul(weights, vh));
+  }
+  return linear("wo", ops::ConcatCols(heads));
+}
+
 TEST(GemmStridedTest, MatchesGemmOnAllTransposeCombos) {
   const int m = 7, n = 5, k = 9;
   Tensor a = RandomTensor({m, k}, 1);
@@ -212,18 +249,16 @@ TEST(AttentionFusionTest, GradientParityForAllProjectionsAndInput) {
     attn.Train();
     Tensor x = RandomTensor({11, 16}, 42, /*requires_grad=*/true);
 
-    attn.set_use_fused(true);
     attn.ZeroGrad();
     x.ZeroGrad();
     core::Rng drop1(77);
     ops::Sum(attn.Forward(x, &drop1)).Backward();
     auto fused = GradSnapshot(attn, x);
 
-    attn.set_use_fused(false);
     attn.ZeroGrad();
     x.ZeroGrad();
     core::Rng drop2(77);
-    ops::Sum(attn.Forward(x, &drop2)).Backward();
+    ops::Sum(ReferenceAttention(attn, x, p, &drop2)).Backward();
     auto ref = GradSnapshot(attn, x);
 
     ASSERT_EQ(fused.size(), ref.size());
@@ -254,16 +289,12 @@ TEST(AttentionFusionTest, DropoutMaskParityAcrossPaths) {
     Tensor fused_out, ref_out;
     core::Rng drop1(99), drop2(99);
     if (grad_mode) {
-      attn.set_use_fused(true);
       fused_out = attn.Forward(x, &drop1);
-      attn.set_use_fused(false);
-      ref_out = attn.Forward(x, &drop2);
+      ref_out = ReferenceAttention(attn, x, 0.5f, &drop2);
     } else {
       tensor::NoGradGuard no_grad;
-      attn.set_use_fused(true);
       fused_out = attn.Forward(x, &drop1);
-      attn.set_use_fused(false);
-      ref_out = attn.Forward(x, &drop2);
+      ref_out = ReferenceAttention(attn, x, 0.5f, &drop2);
     }
     EXPECT_LE(MaxAbsDiff(fused_out, ref_out), 1e-5f)
         << "grad_mode=" << grad_mode;
@@ -284,10 +315,8 @@ TEST(AttentionFusionTest, TrainEvalGradNoGradMatrix) {
         std::unique_ptr<tensor::NoGradGuard> guard;
         if (!grad) guard = std::make_unique<tensor::NoGradGuard>();
         core::Rng drop1(7), drop2(7);
-        attn.set_use_fused(true);
         fused_out = attn.Forward(x, &drop1);
-        attn.set_use_fused(false);
-        ref_out = attn.Forward(x, &drop2);
+        ref_out = ReferenceAttention(attn, x, 0.2f, &drop2);
       }
       EXPECT_LE(MaxAbsDiff(fused_out, ref_out), 1e-5f)
           << "training=" << training << " grad=" << grad;

@@ -29,6 +29,7 @@
 #include "core/thread_pool.h"
 #include "data/benchmarks.h"
 #include "data/blocking.h"
+#include "data/serializer.h"
 #include "data/synthetic.h"
 #include "lm/pretrained_lm.h"
 #include "pipeline/incremental.h"
@@ -360,46 +361,95 @@ std::vector<em::EncodedPair> ScoringFixture(const data::GemDataset& ds,
   return encoder.EncodeAll(ds, pool);
 }
 
-TEST(CachedScoringTest, ScoreBatchCachedBitwiseParity) {
+TEST(CachedScoringTest, ScoreThroughCacheBitwiseParity) {
   const data::GemDataset ds = EncoderDataset();
-  const std::vector<em::EncodedPair> xs = ScoringFixture(ds, 12);
-  ASSERT_FALSE(xs.empty());
+  std::vector<data::PairExample> pairs = EncoderPool(ds);
+  pairs.resize(std::min<size_t>(pairs.size(), 12));
+  ASSERT_FALSE(pairs.empty());
+  const em::PairEncoder encoder = em::MakePairEncoder(FixtureLM(), ds);
   core::Rng rng(5);
   em::FinetuneModel model(FixtureLM(), &rng);
+  size_t scored = 0;
+  const em::ChunkScoreFn score =
+      [&](const std::vector<data::PairExample>& chunk) {
+        scored += chunk.size();
+        return em::ScoreBatch(&model, encoder.EncodeAll(ds, chunk));
+      };
   std::vector<em::ProbPair> baseline;
   {
     ScopedThreads scoped(1);
-    baseline = em::ScoreBatch(&model, xs);
+    baseline = score(pairs);
   }
-  std::vector<uint64_t> keys(xs.size());
-  for (size_t i = 0; i < keys.size(); ++i) {
-    keys[i] = core::Combine64(0xABCDu, i);
-  }
-  // Null cache / empty keys degrade to the uncached sweep.
-  EXPECT_EQ(em::ScoreBatchCached(&model, xs, nullptr, keys), baseline);
+  const uint64_t tag = em::EmbeddingCache::ContextTag(0xABCDu, 0x1u);
+  const auto stable = [tag](const data::PairExample& p) {
+    em::ScoreCacheKeys keys;
+    keys.ram = core::Combine64(0xABCDu, em::EmbeddingCache::PairKey(
+                                            0, p.left_index, p.right_index));
+    keys.store = em::EmbeddingCache::PairKey(tag, p.left_index, p.right_index);
+    return keys;
+  };
+  // Runs one sweep; checks the result and that hits + scored == pairs.
+  const auto check = [&](const std::vector<data::PairExample>& batch,
+                         const em::ScoreCacheTiers& tiers, const auto& key_of,
+                         const std::string& what) {
+    em::ScoreCacheCounts counts;
+    scored = 0;
+    const std::vector<em::ProbPair> probs =
+        em::ScoreThroughCache(batch, key_of, tiers, score, &counts);
+    EXPECT_EQ(counts.scored, scored) << what;
+    EXPECT_EQ(counts.hits + counts.scored, batch.size()) << what;
+    // Every batch is a prefix of `pairs`.
+    EXPECT_EQ(probs, std::vector<em::ProbPair>(
+                         baseline.begin(), baseline.begin() + batch.size()))
+        << what;
+    return counts;
+  };
+
+  // No tier at all: exactly the uncached sweep.
+  EXPECT_EQ(check(pairs, {}, stable, "no cache").scored, pairs.size());
+  const std::vector<data::PairExample> half(pairs.begin(),
+                                            pairs.begin() + pairs.size() / 2);
   for (int threads : {1, 3}) {
     ScopedThreads scoped(threads);
-    core::ConcurrentCache<em::ProbPair> cache(1u << 10);
-    // Cold (all miss), warm (all hit), and partial (prefix pre-filled).
-    EXPECT_EQ(em::ScoreBatchCached(&model, xs, &cache, keys), baseline)
-        << "cold at " << threads << " threads";
-    EXPECT_EQ(em::ScoreBatchCached(&model, xs, &cache, keys), baseline)
-        << "warm at " << threads << " threads";
-    EXPECT_EQ(cache.stats().hits, xs.size());
+    const std::string at = " at " + std::to_string(threads) + " threads";
+    // RAM tier: cold (all miss), warm (all hit), partial (prefix filled).
+    core::ConcurrentCache<em::ProbPair> ram(1u << 10);
+    EXPECT_EQ(check(pairs, {&ram, nullptr}, stable, "cold" + at).hits, 0u);
+    EXPECT_EQ(check(pairs, {&ram, nullptr}, stable, "warm" + at).hits,
+              pairs.size());
     core::ConcurrentCache<em::ProbPair> partial(1u << 10);
-    const std::vector<em::EncodedPair> half(xs.begin(),
-                                            xs.begin() + xs.size() / 2);
-    const std::vector<uint64_t> half_keys(keys.begin(),
-                                          keys.begin() + half.size());
-    em::ScoreBatchCached(&model, half, &partial, half_keys);
-    EXPECT_EQ(em::ScoreBatchCached(&model, xs, &partial, keys), baseline)
-        << "partial at " << threads << " threads";
+    check(half, {&partial, nullptr}, stable, "prefix" + at);
+    EXPECT_EQ(check(pairs, {&partial, nullptr}, stable, "partial" + at).hits,
+              half.size());
+
+    // Store tier: scores persist as 2-float entries; a store hit is
+    // promoted into an empty RAM tier, which then serves alone.
+    em::EmbeddingCache store(1u << 10);
+    EXPECT_EQ(check(pairs, {nullptr, &store}, stable, "store cold" + at).hits,
+              0u);
+    EXPECT_EQ(store.LiveEntries(), pairs.size());
+    core::ConcurrentCache<em::ProbPair> promoted(1u << 10);
+    EXPECT_EQ(
+        check(pairs, {&promoted, &store}, stable, "store warm" + at).hits,
+        pairs.size());
+    EXPECT_EQ(check(pairs, {&promoted, nullptr}, stable, "promoted" + at).hits,
+              pairs.size());
   }
+  // Pairs without a store key never touch the store.
+  em::EmbeddingCache untouched(1u << 10);
+  core::ConcurrentCache<em::ProbPair> ram(1u << 10);
+  const auto unstable = [&stable](const data::PairExample& p) {
+    em::ScoreCacheKeys keys = stable(p);
+    keys.store.reset();
+    return keys;
+  };
+  check(pairs, {&ram, &untouched}, unstable, "unstable");
+  EXPECT_EQ(untouched.LiveEntries(), 0u);
   // Eviction-under-capacity: a 2-slot cache cannot hold the batch, and
   // must not change a single bit of the output.
   core::ConcurrentCache<em::ProbPair> tiny(2);
-  EXPECT_EQ(em::ScoreBatchCached(&model, xs, &tiny, keys), baseline);
-  EXPECT_EQ(em::ScoreBatchCached(&model, xs, &tiny, keys), baseline);
+  check(pairs, {&tiny, nullptr}, stable, "tiny cold");
+  check(pairs, {&tiny, nullptr}, stable, "tiny again");
   EXPECT_GT(tiny.stats().evictions, 0u);
 }
 
@@ -447,50 +497,71 @@ TEST(CachedScoringTest, EmbedBatchCachedBitwiseParity) {
 // fault_injection_test.cc; this is the happy path).
 // ---------------------------------------------------------------------------
 
-TEST(EmbeddingCacheTest, SaveLoadRoundTripIsBitwise) {
+TEST(EmbeddingCacheTest, SaveAttachRoundTripIsBitwise) {
   const std::string path =
       (fs::path(::testing::TempDir()) / "cache_test_roundtrip.embcache")
           .string();
+  const std::string reversed_path = path + ".reversed";
   fs::remove(path);
-  em::EmbeddingCache cache(64);
+  fs::remove(reversed_path);
   const uint64_t tag = em::EmbeddingCache::ContextTag(0x1111u, 0x2222u);
   core::Rng rng(9);
   std::vector<std::pair<uint64_t, std::vector<float>>> entries;
-  for (int i = 0; i < 9; ++i) {
-    std::vector<float> v(static_cast<size_t>(i));  // includes dim 0
+  for (int i = 0; i < 23; ++i) {
+    std::vector<float> v(static_cast<size_t>(i % 9));  // includes dim 0
     for (auto& f : v) f = rng.Gaussian();
-    const uint64_t key = em::EmbeddingCache::PairKey(tag, i, i * 3 + 1);
-    cache.Insert(key, v);
-    entries.emplace_back(key, std::move(v));
+    entries.emplace_back(em::EmbeddingCache::PairKey(tag, i, i * 3 + 1),
+                         std::move(v));
   }
-  ASSERT_TRUE(cache.Save(path).ok());
-  em::EmbeddingCache loaded(64);
-  ASSERT_TRUE(loaded.Load(path).ok());
-  EXPECT_EQ(loaded.LiveEntries(), entries.size());
-  for (const auto& [key, v] : entries) {
-    auto hit = loaded.Find(key);
-    ASSERT_NE(hit, nullptr);
-    EXPECT_EQ(*hit, v);  // float-exact
+  // Two writer "processes" inserting in opposite orders.
+  {
+    em::EmbeddingCache cache(64);
+    em::EmbeddingCache reversed(64);
+    ASSERT_EQ(cache.Attach(path).code(), core::StatusCode::kNotFound)
+        << "cold start, binding live";
+    ASSERT_EQ(reversed.Attach(reversed_path).code(),
+              core::StatusCode::kNotFound);
+    for (size_t i = 0; i < entries.size(); ++i) {
+      cache.Insert(entries[i].first, entries[i].second);
+      const auto& [key, v] = entries[entries.size() - 1 - i];
+      reversed.Insert(key, v);
+    }
+    ASSERT_TRUE(cache.Save().ok());
+    ASSERT_TRUE(reversed.Save().ok());
   }
-  // Identical contents produce an identical byte image (sorted key order).
-  const std::string path2 = path + ".again";
-  ASSERT_TRUE(loaded.Save(path2).ok());
-  std::ifstream a(path, std::ios::binary), b(path2, std::ios::binary);
+  // Identical contents produce an identical byte image.
+  std::ifstream a(path, std::ios::binary), b(reversed_path, std::ios::binary);
   const std::string bytes_a((std::istreambuf_iterator<char>(a)),
                             std::istreambuf_iterator<char>());
   const std::string bytes_b((std::istreambuf_iterator<char>(b)),
                             std::istreambuf_iterator<char>());
+  EXPECT_EQ(bytes_a.substr(0, 8), "PEMHIDX1");
   EXPECT_EQ(bytes_a, bytes_b);
+
+  // A reader "process" starts with an EMPTY in-process cache and faults
+  // values in straight from the mapping.
+  em::EmbeddingCache loaded(64);
+  ASSERT_TRUE(loaded.Attach(path).ok());
+  EXPECT_EQ(loaded.LiveEntries(), 0u);
+  EXPECT_EQ(loaded.PersistedEntries(), entries.size());
+  for (const auto& [key, v] : entries) {
+    auto hit = loaded.Find(key);
+    ASSERT_NE(hit, nullptr);
+    EXPECT_EQ(*hit, v);  // float-exact through the mapping
+  }
+  EXPECT_EQ(loaded.Find(em::EmbeddingCache::PairKey(tag, 999, 1000)),
+            nullptr);
   fs::remove(path);
-  fs::remove(path2);
+  fs::remove(reversed_path);
 }
 
-TEST(EmbeddingCacheTest, LoadMissingFileIsNotFound) {
+TEST(EmbeddingCacheTest, AttachMissingFileIsNotFound) {
   em::EmbeddingCache cache(16);
-  core::Status st = cache.Load(
+  core::Status st = cache.Attach(
       (fs::path(::testing::TempDir()) / "no_such.embcache").string());
   EXPECT_FALSE(st.ok());
   EXPECT_EQ(st.code(), core::StatusCode::kNotFound);
+  EXPECT_EQ(cache.PersistedEntries(), 0u);
 }
 
 TEST(EmbeddingCacheTest, KeysAreRestartStableComposites) {
@@ -771,113 +842,6 @@ TEST(IncrementalMatcherTest, SameContentUpsertRescoresExactlyTouchedPairs) {
   EXPECT_LT(counting.last_stats().rescored, full_candidates / 10);
 }
 
-// ---------------------------------------------------------------------------
-// EmbeddingCache over the storage-backed hash index (DESIGN.md §15): the
-// mmap backend is a pure backing-store swap — values served in place from
-// the mapping are bitwise the values the flat-file path serves from RAM.
-// ---------------------------------------------------------------------------
-
-TEST(EmbeddingCacheTest, MmapBackendServesBitwiseEqualValues) {
-  const std::string ram_path =
-      (fs::path(::testing::TempDir()) / "cache_parity.embcache").string();
-  const std::string mmap_path =
-      (fs::path(::testing::TempDir()) / "cache_parity.phx").string();
-  fs::remove(ram_path);
-  fs::remove(mmap_path);
-
-  const uint64_t tag = em::EmbeddingCache::ContextTag(0xAAu, 0xBBu);
-  core::Rng rng(11);
-  std::vector<std::pair<uint64_t, std::vector<float>>> entries;
-  for (int i = 0; i < 23; ++i) {
-    std::vector<float> v(static_cast<size_t>(1 + i % 7));
-    for (auto& f : v) f = rng.Gaussian();
-    entries.emplace_back(em::EmbeddingCache::PairKey(tag, i, i + 1),
-                         std::move(v));
-  }
-
-  // Writer processes, one per backend.
-  {
-    em::EmbeddingCache ram(64);
-    ASSERT_EQ(ram.Attach(ram_path, em::EmbeddingCache::CacheBackend::kRam)
-                  .code(),
-              core::StatusCode::kNotFound);
-    em::EmbeddingCache mm(64);
-    ASSERT_EQ(mm.Attach(mmap_path, em::EmbeddingCache::CacheBackend::kMmap)
-                  .code(),
-              core::StatusCode::kNotFound);  // cold start, binding live
-    for (const auto& [key, v] : entries) {
-      ram.Insert(key, v);
-      mm.Insert(key, v);
-    }
-    ASSERT_TRUE(ram.Save(ram_path).ok());
-    ASSERT_TRUE(mm.Save(mmap_path).ok());
-  }
-
-  // Reader processes: the mmap cache starts with an EMPTY overlay (no
-  // load) and faults values in straight from the mapping.
-  em::EmbeddingCache ram(64);
-  ASSERT_TRUE(
-      ram.Attach(ram_path, em::EmbeddingCache::CacheBackend::kRam).ok());
-  em::EmbeddingCache mm(64);
-  ASSERT_TRUE(
-      mm.Attach(mmap_path, em::EmbeddingCache::CacheBackend::kMmap).ok());
-  EXPECT_EQ(mm.PersistedEntries(), entries.size());
-  for (const auto& [key, v] : entries) {
-    auto from_ram = ram.Find(key);
-    auto from_map = mm.Find(key);
-    ASSERT_NE(from_ram, nullptr);
-    ASSERT_NE(from_map, nullptr);
-    EXPECT_EQ(*from_ram, v);
-    EXPECT_EQ(*from_map, v);  // float-exact through the mapping
-  }
-  // Absent keys miss in both.
-  EXPECT_EQ(mm.Find(em::EmbeddingCache::PairKey(tag, 999, 1000)), nullptr);
-  fs::remove(ram_path);
-  fs::remove(mmap_path);
-}
-
-TEST(EmbeddingCacheTest, LegacyFlatFileMigratesToIndexOnFlush) {
-  const std::string path =
-      (fs::path(::testing::TempDir()) / "cache_migrate.embcache").string();
-  fs::remove(path);
-  const uint64_t tag = em::EmbeddingCache::ContextTag(0x33u, 0x44u);
-  std::vector<std::pair<uint64_t, std::vector<float>>> entries;
-  for (int i = 0; i < 7; ++i) {
-    entries.emplace_back(em::EmbeddingCache::PairKey(tag, i, i),
-                         std::vector<float>(3, 0.5f * i));
-  }
-  {
-    em::EmbeddingCache legacy(64);
-    for (const auto& [key, v] : entries) legacy.Insert(key, v);
-    ASSERT_TRUE(legacy.Save(path).ok());  // "PEMEMBC1" flat file
-  }
-  // Attaching the legacy file in mmap mode loads it once into the
-  // overlay; the next flush rewrites the path in the index format.
-  em::EmbeddingCache cache(64);
-  ASSERT_TRUE(
-      cache.Attach(path, em::EmbeddingCache::CacheBackend::kMmap).ok());
-  EXPECT_EQ(cache.LiveEntries(), entries.size());
-  EXPECT_EQ(cache.PersistedEntries(), 0u) << "not an index file yet";
-  ASSERT_TRUE(cache.Save(path).ok());
-  {
-    std::ifstream in(path, std::ios::binary);
-    char magic[8] = {0};
-    in.read(magic, sizeof(magic));
-    EXPECT_EQ(std::string(magic, 8), "PEMHIDX1") << "flush did not migrate";
-  }
-  // A restarted process reads every migrated value in place.
-  em::EmbeddingCache restarted(64);
-  ASSERT_TRUE(
-      restarted.Attach(path, em::EmbeddingCache::CacheBackend::kMmap).ok());
-  EXPECT_EQ(restarted.PersistedEntries(), entries.size());
-  for (const auto& [key, v] : entries) {
-    auto hit = restarted.Find(key);
-    ASSERT_NE(hit, nullptr);
-    EXPECT_EQ(*hit, v);
-  }
-  fs::remove(path);
-}
-
 TEST(IncrementalMatcherTest, PersistentStoreWarmStartsAFreshMatcher) {
   // The serving seam: a persistent cache shared across matcher lifetimes
   // (standing in for daemon restarts) must let the second matcher serve
@@ -900,10 +864,7 @@ TEST(IncrementalMatcherTest, PersistentStoreWarmStartsAFreshMatcher) {
   size_t full_candidates = 0;
   {
     auto persistent = std::make_shared<em::EmbeddingCache>(1u << 14);
-    ASSERT_EQ(persistent
-                  ->Attach(path, em::EmbeddingCache::CacheBackend::kMmap)
-                  .code(),
-              core::StatusCode::kNotFound);
+    ASSERT_EQ(persistent->Attach(path).code(), core::StatusCode::kNotFound);
     em::IncrementalMatcher::Config config;
     config.persistent = persistent;
     config.persistent_tag = tag;
@@ -913,14 +874,12 @@ TEST(IncrementalMatcherTest, PersistentStoreWarmStartsAFreshMatcher) {
     full_candidates = first.last_stats().candidates;
     ASSERT_GT(full_candidates, 0u);
     EXPECT_EQ(first.last_stats().rescored, full_candidates);
-    ASSERT_TRUE(persistent->Save(path).ok());  // "process" exits
+    ASSERT_TRUE(persistent->Save().ok());  // "process" exits
   }
 
   // Fresh matcher, fresh cache object, same store: warm start.
   auto persistent = std::make_shared<em::EmbeddingCache>(1u << 14);
-  ASSERT_TRUE(
-      persistent->Attach(path, em::EmbeddingCache::CacheBackend::kMmap)
-          .ok());
+  ASSERT_TRUE(persistent->Attach(path).ok());
   EXPECT_EQ(persistent->PersistedEntries(), full_candidates);
   em::IncrementalMatcher::Config config;
   config.persistent = persistent;
@@ -941,6 +900,84 @@ TEST(IncrementalMatcherTest, PersistentStoreWarmStartsAFreshMatcher) {
   second.ApplyDelta(delta);
   EXPECT_GT(second.last_stats().rescored, 0u);
   EXPECT_LT(second.last_stats().rescored, full_candidates / 4);
+  fs::remove(path);
+}
+
+/// A scorer whose output depends on the right record's content, not only
+/// its index, so a score computed for a different record at the same
+/// index shows.
+em::IncrementalMatcher::ScorerFactory ContentStubScorer() {
+  return [](const data::GemDataset& ds) -> em::ChunkScoreFn {
+    return [&ds](const std::vector<data::PairExample>& chunk) {
+      std::vector<em::ProbPair> probs(chunk.size());
+      for (size_t i = 0; i < chunk.size(); ++i) {
+        const uint64_t h = core::Mix64(core::Combine64(
+            core::Fnv1a64(data::SerializeRecord(
+                ds.right_table[static_cast<size_t>(chunk[i].right_index)])),
+            static_cast<uint64_t>(chunk[i].left_index)));
+        const float pos = static_cast<float>((h >> 40) & 0xFFFF) / 65535.0f;
+        probs[i] = {1.0f - pos, pos};
+      }
+      return probs;
+    };
+  };
+}
+
+TEST(IncrementalMatcherTest, AppendedRecordIsNeverServedStoredScores) {
+  // Two "processes" share one store and each appends a DIFFERENT record
+  // at the same new index. The second must score its own record, not be
+  // served the scores the first persisted for the other one.
+  const std::string path =
+      (fs::path(::testing::TempDir()) / "appended.phx").string();
+  fs::remove(path);
+  const uint64_t tag = em::EmbeddingCache::ContextTag(0x77u, 0x88u);
+  const em::IncrementalMatcher::BlockerFactory blocker =
+      [](const data::GemDataset& d) {
+        return std::unique_ptr<data::Blocker>(
+            std::make_unique<data::MinHashBlocker>(d.left_table,
+                                                   d.right_table));
+      };
+  const data::GemDataset base = SyntheticDataset();
+  const int appended_index = static_cast<int>(base.right_table.size());
+  // Near-duplicates, so both draw the same candidates.
+  const data::Record first_record = base.right_table[0];
+  data::Record second_record = first_record;
+  second_record.attrs.push_back({"note", data::Value::Str("revised")});
+  const auto append = [appended_index](const data::Record& record) {
+    em::RecordDelta delta;
+    delta.upserts.push_back({/*left=*/false, appended_index, record});
+    return delta;
+  };
+  {
+    auto persistent = std::make_shared<em::EmbeddingCache>(1u << 14);
+    ASSERT_EQ(persistent->Attach(path).code(), core::StatusCode::kNotFound);
+    em::IncrementalMatcher::Config config;
+    config.persistent = persistent;
+    config.persistent_tag = tag;
+    em::IncrementalMatcher first(base, ContentStubScorer(), blocker, config);
+    first.FullMatch();
+    first.ApplyDelta(append(first_record));
+    ASSERT_TRUE(persistent->Save().ok());
+  }
+
+  auto persistent = std::make_shared<em::EmbeddingCache>(1u << 14);
+  ASSERT_TRUE(persistent->Attach(path).ok());
+  em::IncrementalMatcher::Config config;
+  config.persistent = persistent;
+  config.persistent_tag = tag;
+  em::IncrementalMatcher second(base, ContentStubScorer(), blocker, config);
+  second.FullMatch();
+  EXPECT_EQ(second.last_stats().rescored, 0u) << "warm start re-scored";
+  const em::MatchPipelineResult appended =
+      second.ApplyDelta(append(second_record));
+  EXPECT_GT(second.last_stats().rescored, 0u);
+
+  // The reference: a store-less matcher over the same final tables.
+  data::GemDataset final_tables = base;
+  final_tables.right_table.push_back(second_record);
+  em::IncrementalMatcher fresh(std::move(final_tables), ContentStubScorer(),
+                               blocker);
+  EXPECT_TRUE(SameResult(appended, fresh.FullMatch()));
   fs::remove(path);
 }
 

@@ -23,6 +23,7 @@
 #include <gtest/gtest.h>
 
 #include "core/hash_index.h"
+#include "core/hashing.h"
 #include "data/io.h"
 #include "lm/pretrained_lm.h"
 #include "nn/layers.h"
@@ -136,51 +137,58 @@ TEST(CheckpointFaultTest, TrailingGarbageIsDetected) {
   EXPECT_FALSE(LoadIntoFreshMlp(victim).ok());
 }
 
-// A legacy v1 checkpoint (no checksum) with dims chosen so the naive
-// `n *= dim` would wrap around 2^64 to a tiny number, or would pass the
-// multiply but demand a multi-gigabyte buffer. Both must be rejected by
-// the remaining-bytes bound before any allocation happens.
-TEST(CheckpointFaultTest, V1OversizedDimsRejectedWithoutAllocation) {
-  ScratchDir dir("promptem_fault_ckpt_v1dims");
-  auto u32 = [](uint32_t v) {
-    return std::string(reinterpret_cast<const char*>(&v), sizeof(v));
-  };
+std::string U32Bytes(uint32_t v) {
+  return std::string(reinterpret_cast<const char*>(&v), sizeof(v));
+}
+
+/// A v2 envelope around `body` (entry count + entries) with a CORRECT
+/// checksum, so any rejection comes from the structure checks — not the
+/// hash.
+std::string V2Checkpoint(const std::string& body) {
+  std::string hashed = U32Bytes(0x01020304u) + body;
+  const uint64_t hash = core::Fnv1a64(hashed.data(), hashed.size());
+  return "PEMCKPT2" + hashed +
+         std::string(reinterpret_cast<const char*>(&hash), sizeof(hash));
+}
+
+// Dims chosen so the naive `n *= dim` would wrap around 2^64 to a tiny
+// number, or would pass the multiply but demand a multi-gigabyte buffer.
+// Both must be rejected by the remaining-bytes bound before any
+// allocation happens.
+TEST(CheckpointFaultTest, OversizedDimsRejectedWithoutAllocation) {
+  ScratchDir dir("promptem_fault_ckpt_dims");
   for (std::vector<uint32_t> dims :
        std::vector<std::vector<uint32_t>>{{0xFFFFFFFFu, 0xFFFFFFFFu,
                                            0xFFFFFFFFu, 0xFFFFFFFFu},
                                           {0x40000000u, 4u}}) {
-    std::string bytes = "PEMCKPT1";
-    bytes += u32(1);  // one entry
+    std::string body = U32Bytes(1);  // one entry
     const std::string name = "hidden0.weight";
-    bytes += u32(static_cast<uint32_t>(name.size())) + name;
-    bytes += u32(static_cast<uint32_t>(dims.size()));
-    for (uint32_t d : dims) bytes += u32(d);
+    body += U32Bytes(static_cast<uint32_t>(name.size())) + name;
+    body += U32Bytes(static_cast<uint32_t>(dims.size()));
+    for (uint32_t d : dims) body += U32Bytes(d);
     // No payload: the declared element count alone must kill the load.
     const std::string victim = dir.File("huge.ckpt");
-    WriteFileBytes(victim, bytes);
+    WriteFileBytes(victim, V2Checkpoint(body));
     core::Status st = LoadIntoFreshMlp(victim);
     EXPECT_FALSE(st.ok());
     EXPECT_EQ(st.code(), core::StatusCode::kInvalidArgument)
+        << st.ToString();
+    EXPECT_EQ(st.message().find("checksum"), std::string::npos)
         << st.ToString();
   }
 }
 
 TEST(CheckpointFaultTest, DuplicateEntryNamesRejected) {
   ScratchDir dir("promptem_fault_ckpt_dup");
-  auto u32 = [](uint32_t v) {
-    return std::string(reinterpret_cast<const char*>(&v), sizeof(v));
-  };
-  // v1 file holding the same zero-dim scalar entry twice.
+  // The same zero-dim scalar entry twice.
   std::string entry;
   const std::string name = "w";
-  entry += u32(static_cast<uint32_t>(name.size())) + name;
-  entry += u32(0);  // ndim 0 => one scalar element
+  entry += U32Bytes(static_cast<uint32_t>(name.size())) + name;
+  entry += U32Bytes(0);  // ndim 0 => one scalar element
   const float value = 1.5f;
   entry += std::string(reinterpret_cast<const char*>(&value), sizeof(value));
-  std::string bytes = "PEMCKPT1";
-  bytes += u32(2) + entry + entry;
   const std::string victim = dir.File("dup.ckpt");
-  WriteFileBytes(victim, bytes);
+  WriteFileBytes(victim, V2Checkpoint(U32Bytes(2) + entry + entry));
   core::Rng rng(9);
   nn::Mlp module({3, 4, 2}, &rng);
   core::Status st = nn::LoadCheckpoint(&module, victim, /*strict=*/false);
@@ -243,10 +251,10 @@ TEST(CheckpointFaultTest, SuccessfulSaveLeavesNoTempFile) {
 }
 
 // ---------------------------------------------------------------------------
-// Embedding-cache files (the --embed-cache artifact, "PEMEMBC1" envelope):
-// the same exhaustive sweep as checkpoints — every byte flip, every
-// truncation, trailing garbage — must be rejected wholesale, and a
-// rejected load must leave the in-memory cache exactly as it was.
+// Embedding-cache stores (the --embed-cache artifact, a "PEMHIDX1" hash
+// index — its byte sweeps are HashIndexFaultTest below): flushes are
+// atomic, a failed flush never touches the good file, and a rejected
+// attach leaves the in-process entries exactly as they were.
 // ---------------------------------------------------------------------------
 
 /// Five dim-8 embeddings under one context tag — the reference contents.
@@ -260,77 +268,41 @@ void FillReferenceEmbedCache(em::EmbeddingCache* cache) {
 
 std::string SaveReferenceEmbedCache(const ScratchDir& dir) {
   em::EmbeddingCache cache(64);
-  FillReferenceEmbedCache(&cache);
   const std::string path = dir.File("ref.embcache");
-  EXPECT_TRUE(cache.Save(path).ok());
+  EXPECT_EQ(cache.Attach(path).code(), core::StatusCode::kNotFound);
+  FillReferenceEmbedCache(&cache);
+  EXPECT_TRUE(cache.Save().ok());
   return path;
 }
 
-TEST(EmbedCacheFaultTest, EveryByteFlipIsDetected) {
-  ScratchDir dir("promptem_fault_emb_flip");
-  const std::string good = ReadFileBytes(SaveReferenceEmbedCache(dir));
-  const std::string victim = dir.File("flipped.embcache");
-  for (size_t i = 0; i < good.size(); ++i) {
-    for (unsigned char mask : {0x01, 0xFF}) {
-      WriteFileBytes(victim, FlipByte(good, i, mask));
-      em::EmbeddingCache fresh(64);
-      core::Status st = fresh.Load(victim);
-      EXPECT_FALSE(st.ok()) << "flip at byte " << i << " mask "
-                            << static_cast<int>(mask) << " went undetected";
-      EXPECT_FALSE(st.message().empty());
-      EXPECT_EQ(fresh.LiveEntries(), 0u)
-          << "rejected load inserted entries (flip at byte " << i << ")";
-    }
-  }
-}
-
-TEST(EmbedCacheFaultTest, EveryTruncationIsDetected) {
-  ScratchDir dir("promptem_fault_emb_trunc");
-  const std::string good = ReadFileBytes(SaveReferenceEmbedCache(dir));
-  const std::string victim = dir.File("truncated.embcache");
-  for (size_t len = 0; len < good.size(); ++len) {
-    WriteFileBytes(victim, good.substr(0, len));
-    em::EmbeddingCache fresh(64);
-    EXPECT_FALSE(fresh.Load(victim).ok())
-        << "truncation to " << len << " bytes went undetected";
-    EXPECT_EQ(fresh.LiveEntries(), 0u);
-  }
-}
-
-TEST(EmbedCacheFaultTest, TrailingGarbageIsDetected) {
-  ScratchDir dir("promptem_fault_emb_trail");
-  const std::string good = ReadFileBytes(SaveReferenceEmbedCache(dir));
-  const std::string victim = dir.File("trailing.embcache");
-  WriteFileBytes(victim, good + std::string(13, '\x5A'));
-  em::EmbeddingCache fresh(64);
-  core::Status st = fresh.Load(victim);
-  EXPECT_FALSE(st.ok());
-  EXPECT_NE(st.message().find("trailing"), std::string::npos)
-      << st.ToString();
-}
-
-TEST(EmbedCacheFaultTest, RejectedLoadLeavesCacheUnchanged) {
+TEST(EmbedCacheFaultTest, RejectedAttachLeavesCacheUnchanged) {
   ScratchDir dir("promptem_fault_emb_keep");
   const std::string good = ReadFileBytes(SaveReferenceEmbedCache(dir));
   const std::string victim = dir.File("corrupt.embcache");
   WriteFileBytes(victim, FlipByte(good, good.size() / 2, 0xFF));
   // A cache that already holds entries must keep serving them bitwise
-  // intact after rejecting a corrupt file.
+  // intact after rejecting a corrupt store.
   em::EmbeddingCache cache(64);
   const uint64_t key = em::EmbeddingCache::PairKey(
       em::EmbeddingCache::ContextTag(0x11u, 0x22u), 3, 4);
   const std::vector<float> value = {1.0f, 2.0f, 3.0f};
   cache.Insert(key, value);
-  EXPECT_FALSE(cache.Load(victim).ok());
+  const core::Status st = cache.Attach(victim);
+  EXPECT_FALSE(st.ok());
+  EXPECT_NE(st.message().find(victim), std::string::npos)
+      << "no path in: " << st.ToString();
+  EXPECT_NE(st.message().find("at offset"), std::string::npos)
+      << "no offset in: " << st.ToString();
   EXPECT_EQ(cache.LiveEntries(), 1u);
+  EXPECT_EQ(cache.PersistedEntries(), 0u);
   auto entry = cache.Find(key);
   ASSERT_NE(entry, nullptr);
   EXPECT_EQ(*entry, value);
-  // And the survivor cache still round-trips: rebuild-after-reject works.
-  const std::string repaired = dir.File("repaired.embcache");
-  EXPECT_TRUE(cache.Save(repaired).ok());
+  // And the survivor cache rebuilds the store in place.
+  EXPECT_TRUE(cache.Save().ok());
   em::EmbeddingCache reloaded(64);
-  EXPECT_TRUE(reloaded.Load(repaired).ok());
+  EXPECT_TRUE(reloaded.Attach(victim).ok());
+  EXPECT_EQ(reloaded.PersistedEntries(), 1u);
   auto reloaded_entry = reloaded.Find(key);
   ASSERT_NE(reloaded_entry, nullptr);
   EXPECT_EQ(*reloaded_entry, value);
@@ -338,27 +310,35 @@ TEST(EmbedCacheFaultTest, RejectedLoadLeavesCacheUnchanged) {
 
 TEST(EmbedCacheFaultTest, SaveToUnreachablePathLeavesNothingBehind) {
   em::EmbeddingCache cache(64);
-  FillReferenceEmbedCache(&cache);
   const std::string target =
       (fs::path(::testing::TempDir()) / "promptem_no_such_dir" /
        "x.embcache")
           .string();
-  core::Status st = cache.Save(target);
+  EXPECT_EQ(cache.Attach(target).code(), core::StatusCode::kNotFound);
+  FillReferenceEmbedCache(&cache);
+  core::Status st = cache.Save();
   EXPECT_FALSE(st.ok());
   EXPECT_FALSE(fs::exists(target));
   EXPECT_FALSE(fs::exists(target + ".tmp"));
+}
+
+TEST(EmbedCacheFaultTest, SaveWithoutAttachedStoreFails) {
+  em::EmbeddingCache cache(64);
+  FillReferenceEmbedCache(&cache);
+  EXPECT_EQ(cache.Save().code(), core::StatusCode::kFailedPrecondition);
 }
 
 TEST(EmbedCacheFaultTest, FailedSaveNeverClobbersGoodFile) {
   ScratchDir dir("promptem_fault_emb_atomic");
   const std::string path = SaveReferenceEmbedCache(dir);
   const std::string good = ReadFileBytes(path);
-  // Block the temp file with a directory: the save must fail without
+  // Block the temp file with a directory: the flush must fail without
   // touching the target.
   fs::create_directory(path + ".tmp");
   em::EmbeddingCache other(64);
+  ASSERT_TRUE(other.Attach(path).ok());
   other.Insert(7u, {9.0f});
-  EXPECT_FALSE(other.Save(path).ok());
+  EXPECT_FALSE(other.Save().ok());
   EXPECT_EQ(ReadFileBytes(path), good) << "target was modified";
   fs::remove_all(path + ".tmp");
 }
@@ -373,9 +353,9 @@ TEST(EmbedCacheFaultTest, SuccessfulSaveLeavesNoTempFile) {
 TEST(EmbedCacheFaultTest, SigkillDuringAutosaveLeavesOldOrNewFileOnly) {
   // The autosave crash contract: a process killed at ANY instant while
   // inserting with periodic flushes enabled leaves either a previous
-  // complete file or the new one on disk — never a torn write. Each
+  // complete store or the new one on disk — never a torn write. Each
   // cached value is a pure function of its key, so the parent can verify
-  // whatever generation survived, not just that Load succeeds.
+  // whatever generation survived, not just that Attach succeeds.
   ScratchDir dir("promptem_fault_emb_kill");
   const std::string path = dir.File("autosaved.embcache");
   const auto value_for = [](uint64_t key) {
@@ -391,7 +371,8 @@ TEST(EmbedCacheFaultTest, SigkillDuringAutosaveLeavesOldOrNewFileOnly) {
       // Flush on every insert: the kill window is almost always inside
       // an open tmp-file write.
       em::EmbeddingCache cache(1u << 14);
-      cache.EnableAutosave(path, 1);
+      cache.Attach(path);
+      cache.EnableAutosave(1);
       for (uint64_t key = 1;; ++key) {
         cache.Insert(key, value_for(key));
       }
@@ -403,51 +384,20 @@ TEST(EmbedCacheFaultTest, SigkillDuringAutosaveLeavesOldOrNewFileOnly) {
     ASSERT_TRUE(WIFSIGNALED(wstatus));
 
     em::EmbeddingCache survivor(1u << 14);
-    const core::Status st = survivor.Load(path);
+    const core::Status st = survivor.Attach(path);
     if (st.code() == core::StatusCode::kNotFound) {
       continue;  // killed before the first rename landed — fine
     }
     ASSERT_TRUE(st.ok()) << "torn autosave after " << delay_us
                          << "us: " << st.ToString();
-    EXPECT_GT(survivor.LiveEntries(), 0u);
-    for (uint64_t key = 1; key <= survivor.LiveEntries(); ++key) {
+    const size_t persisted = survivor.PersistedEntries();
+    EXPECT_GT(persisted, 0u);
+    for (uint64_t key = 1; key <= persisted; ++key) {
       auto entry = survivor.Find(key);
       ASSERT_NE(entry, nullptr) << "missing key " << key << " in a "
-                                << survivor.LiveEntries() << "-entry file";
+                                << persisted << "-entry store";
       EXPECT_EQ(*entry, value_for(key)) << "key " << key;
     }
-  }
-}
-
-TEST(EmbedCacheFaultTest, RejectionMessagesCarryPathOffsetAndCheck) {
-  // The satellite contract for load failures: the Status message alone
-  // must say which file, where in it, and which check tripped — enough
-  // to diagnose a bad cache from a log line without re-running anything.
-  ScratchDir dir("promptem_fault_emb_msg");
-  const std::string good = ReadFileBytes(SaveReferenceEmbedCache(dir));
-  const std::string victim = dir.File("diagnose.embcache");
-  struct Case {
-    std::string bytes;
-    const char* check;  // substring naming the failed check
-  };
-  const std::vector<Case> cases = {
-      {FlipByte(good, 0, 0xFF), "bad magic"},
-      {FlipByte(good, 8, 0xFF), "endianness mismatch"},
-      {FlipByte(good, good.size() / 2, 0x01), "checksum mismatch"},
-      {good.substr(0, good.size() - 4), "exceeds file size"},
-      {good + std::string(4, '\x00'), "trailing garbage"},
-  };
-  for (const Case& c : cases) {
-    WriteFileBytes(victim, c.bytes);
-    em::EmbeddingCache fresh(64);
-    const core::Status st = fresh.Load(victim);
-    ASSERT_FALSE(st.ok()) << c.check;
-    EXPECT_NE(st.message().find(victim), std::string::npos)
-        << "no path in: " << st.ToString();
-    EXPECT_NE(st.message().find("at offset"), std::string::npos)
-        << "no offset in: " << st.ToString();
-    EXPECT_NE(st.message().find(c.check), std::string::npos)
-        << "expected '" << c.check << "' in: " << st.ToString();
   }
 }
 
@@ -527,22 +477,43 @@ TEST(HashIndexFaultTest, TrailingGarbageIsDetected) {
 TEST(HashIndexFaultTest, CorruptAttachedStoreIsRejectedWholesale) {
   // The embed-cache seam over the same files: Attach must reject a bad
   // store entirely (never a partial view) while keeping the binding
-  // live, so the rebuild's next flush replaces the bad file.
+  // live, so the rebuild's next flush replaces the bad file. An old
+  // "PEMEMBC1" flat cache file is just one more unusable store.
   ScratchDir dir("promptem_fault_phx_attach");
   const std::string good = ReadFileBytes(SaveReferenceHashIndex(dir));
-  const std::string victim = dir.File("store.phx");
-  WriteFileBytes(victim, FlipByte(good, good.size() / 2, 0xFF));
-  em::EmbeddingCache cache(64);
-  const core::Status st =
-      cache.Attach(victim, em::EmbeddingCache::CacheBackend::kMmap);
-  ASSERT_FALSE(st.ok());
-  EXPECT_NE(st.code(), core::StatusCode::kNotFound);
-  EXPECT_EQ(cache.PersistedEntries(), 0u) << "partial load leaked through";
-  cache.Insert(42u, {1.0f, 2.0f});
-  ASSERT_TRUE(cache.Save(victim).ok());
-  auto reopened = core::HashIndex::Open(victim);
-  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
-  EXPECT_EQ(reopened.value()->key_count(), 1u);
+  std::string flat = "PEMEMBC1" + U32Bytes(0x01020304u) + U32Bytes(1);
+  const uint64_t flat_key = 42u;
+  const float flat_value = 0.5f;
+  flat += std::string(reinterpret_cast<const char*>(&flat_key),
+                      sizeof(flat_key)) +
+          U32Bytes(1) +
+          std::string(reinterpret_cast<const char*>(&flat_value),
+                      sizeof(flat_value));
+  const uint64_t flat_hash = core::Fnv1a64(flat.data(), flat.size());
+  flat += std::string(reinterpret_cast<const char*>(&flat_hash),
+                      sizeof(flat_hash));
+  const std::vector<std::pair<const char*, std::string>> stores = {
+      {"flipped index", FlipByte(good, good.size() / 2, 0xFF)},
+      {"old PEMEMBC1 flat file", flat},
+  };
+  for (const auto& [what, bytes] : stores) {
+    const std::string victim = dir.File("store.phx");
+    WriteFileBytes(victim, bytes);
+    em::EmbeddingCache cache(64);
+    const core::Status st = cache.Attach(victim);
+    ASSERT_FALSE(st.ok()) << what;
+    EXPECT_NE(st.code(), core::StatusCode::kNotFound) << what;
+    EXPECT_EQ(cache.PersistedEntries(), 0u)
+        << what << ": partial load leaked through";
+    EXPECT_EQ(cache.LiveEntries(), 0u) << what;
+    EXPECT_EQ(cache.Find(flat_key), nullptr) << what;
+    cache.Insert(43u, {1.0f, 2.0f});
+    ASSERT_TRUE(cache.Save().ok()) << what;
+    auto reopened = core::HashIndex::Open(victim);
+    ASSERT_TRUE(reopened.ok()) << what << ": "
+                               << reopened.status().ToString();
+    EXPECT_EQ(reopened.value()->key_count(), 1u) << what;
+  }
 }
 
 TEST(HashIndexFaultTest, SigkillDuringGrowthLeavesOldOrNewGenerationOnly) {
@@ -818,6 +789,13 @@ TEST_F(LmArtifactFault, CheckpointCorruptionPropagates) {
   EXPECT_FALSE(LoadStatus().ok());
   WriteFileBytes(ckpt, bytes.substr(0, bytes.size() - 5));
   EXPECT_FALSE(LoadStatus().ok());
+  // The same tensors in the retired v1 layout (no endian tag, no
+  // checksum), as a stale shared-LM cache would hold them: rejected, so
+  // GetOrCreateSharedLM falls back to pre-training.
+  WriteFileBytes(ckpt, "PEMCKPT1" + bytes.substr(12, bytes.size() - 20));
+  const core::Status v1 = LoadStatus();
+  EXPECT_FALSE(v1.ok());
+  EXPECT_NE(v1.message().find("magic"), std::string::npos) << v1.ToString();
 }
 
 // ---------------------------------------------------------------------------

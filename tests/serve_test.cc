@@ -13,6 +13,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstdio>
 #include <cstring>
 #include <memory>
 #include <string>
@@ -411,7 +412,10 @@ TEST(MatchServiceTest, CoalescedBatchEqualsIndividualScoring) {
 }
 
 TEST(MatchServiceTest, ScoreCacheHitsAreBitwiseExactAndPersist) {
+  const std::string path = ::testing::TempDir() + "/serve_score_cache.phx";
+  std::remove(path.c_str());
   auto cache = std::make_shared<em::EmbeddingCache>();
+  ASSERT_EQ(cache->Attach(path).code(), core::StatusCode::kNotFound);
   serve::MatchService::Config config;
   config.score_cache = cache;
   auto service = MakeService(config);
@@ -432,10 +436,10 @@ TEST(MatchServiceTest, ScoreCacheHitsAreBitwiseExactAndPersist) {
 
   // Restart-stable: a new service over the same dataset/options reading
   // the persisted file serves every pair from cache, bitwise equal.
-  const std::string path = ::testing::TempDir() + "/serve_score_cache.bin";
-  ASSERT_TRUE(cache->Save(path).ok());
+  ASSERT_TRUE(cache->Save().ok());
   auto reloaded = std::make_shared<em::EmbeddingCache>();
-  ASSERT_TRUE(reloaded->Load(path).ok());
+  ASSERT_TRUE(reloaded->Attach(path).ok());
+  EXPECT_EQ(reloaded->PersistedEntries(), pairs.size());
   serve::MatchService::Config warm_config;
   warm_config.score_cache = reloaded;
   auto restarted = MakeService(warm_config);

@@ -74,18 +74,14 @@ void PrintUsage() {
       "                  (default, the paper's choice), confidence, or\n"
       "                  clustering (k-means on pair embeddings)\n"
       "  --embed-cache PATH  persist pair embeddings (the clustering\n"
-      "                  pseudo-label strategy's EmbedBatch output) to\n"
-      "                  PATH: loaded at startup when present (a corrupt\n"
-      "                  file is rejected and rebuilt), saved at exit,\n"
-      "                  and flushed on SIGINT/SIGTERM\n"
+      "                  pseudo-label strategy's EmbedBatch output) in a\n"
+      "                  hash-index store at PATH, read in place at\n"
+      "                  startup (an unusable or old flat-format file is\n"
+      "                  rejected and rebuilt), flushed at exit and on\n"
+      "                  SIGINT/SIGTERM\n"
       "  --flush-every N with --embed-cache: additionally flush the cache\n"
       "                  every N inserts (crash durability; default 0 =\n"
       "                  only at exit and on signals)\n"
-      "  --cache-backend B  backing store for --embed-cache: ram (default,\n"
-      "                  flat file loaded whole) or mmap (storage-backed\n"
-      "                  hash index read in place — the cache never has to\n"
-      "                  fit in memory; a legacy ram file at the same path\n"
-      "                  is migrated at the next flush)\n"
       "  --export DIR    write the dataset to DIR and exit\n"
       "promptem_cli --match-tables [--synthetic N | --left STEM --right STEM]\n"
       "             [--blocker B] [--block-top-k K] [--chunk-size C]\n"
@@ -239,7 +235,6 @@ int main(int argc, char** argv) {
   long long incremental_rows = 0;
   long long flush_every = 0;
   std::string embed_cache_path;
-  std::string cache_backend = "ram";
   std::string index_dir;
   std::string pseudo_strategy = "uncertainty";
 
@@ -369,11 +364,6 @@ int main(int argc, char** argv) {
       if (!ParseIntArg(value, &flush_every) || flush_every < 0) {
         BadOption(arg, value, "a non-negative insert count");
       }
-    } else if (arg == "--cache-backend") {
-      cache_backend = next();
-      if (cache_backend != "ram" && cache_backend != "mmap") {
-        BadOption(arg, cache_backend.c_str(), "ram or mmap");
-      }
     } else if (arg == "--index-dir") {
       index_dir = next();
       if (index_dir.empty()) {
@@ -398,10 +388,6 @@ int main(int argc, char** argv) {
   }
   if (flush_every > 0 && embed_cache_path.empty()) {
     std::fprintf(stderr, "--flush-every requires --embed-cache\n");
-    return 2;
-  }
-  if (cache_backend == "mmap" && embed_cache_path.empty()) {
-    std::fprintf(stderr, "--cache-backend mmap requires --embed-cache\n");
     return 2;
   }
   if (!index_dir.empty() && blocker_name != "minhash") {
@@ -463,7 +449,7 @@ int main(int argc, char** argv) {
     core::InstallShutdownHandler([](int signum) {
       auto cache = em::GetGlobalEmbeddingCache();
       if (cache != nullptr) {
-        const core::Status saved = cache->FlushNow();
+        const core::Status saved = cache->Save();
         if (!saved.ok()) {
           std::fprintf(stderr, "embed cache: signal flush failed: %s\n",
                        saved.ToString().c_str());
@@ -639,20 +625,10 @@ int main(int argc, char** argv) {
   std::shared_ptr<em::EmbeddingCache> embed_cache;
   if (!embed_cache_path.empty()) {
     embed_cache = std::make_shared<em::EmbeddingCache>();
-    const core::Status loaded = embed_cache->Attach(
-        embed_cache_path, cache_backend == "mmap"
-                              ? em::EmbeddingCache::CacheBackend::kMmap
-                              : em::EmbeddingCache::CacheBackend::kRam);
+    const core::Status loaded = embed_cache->Attach(embed_cache_path);
     if (loaded.ok()) {
-      if (cache_backend == "mmap") {
-        std::printf("embed cache: attached %zu embeddings in place from "
-                    "%s\n",
-                    embed_cache->PersistedEntries(),
-                    embed_cache_path.c_str());
-      } else {
-        std::printf("embed cache: loaded %zu embeddings from %s\n",
-                    embed_cache->LiveEntries(), embed_cache_path.c_str());
-      }
+      std::printf("embed cache: loaded %zu embeddings from %s\n",
+                  embed_cache->PersistedEntries(), embed_cache_path.c_str());
     } else if (loaded.code() == core::StatusCode::kNotFound) {
       std::printf("embed cache: %s absent, starting empty\n",
                   embed_cache_path.c_str());
@@ -662,8 +638,7 @@ int main(int argc, char** argv) {
     }
     // EnableAutosave before publishing: the signal watcher installed at
     // startup flushes whatever the global pointer holds.
-    embed_cache->EnableAutosave(embed_cache_path,
-                                static_cast<size_t>(flush_every));
+    embed_cache->EnableAutosave(static_cast<size_t>(flush_every));
     em::SetGlobalEmbeddingCache(embed_cache);
   }
 
@@ -786,19 +761,14 @@ int main(int argc, char** argv) {
   }
 
   if (embed_cache != nullptr) {
-    const core::Status saved = embed_cache->Save(embed_cache_path);
+    const core::Status saved = embed_cache->Save();
     if (!saved.ok()) {
       std::fprintf(stderr, "embed cache: save failed: %s\n",
                    saved.ToString().c_str());
       return 1;
     }
-    if (cache_backend == "mmap") {
-      std::printf("embed cache: sealed %zu embeddings into %s\n",
-                  embed_cache->PersistedEntries(), embed_cache_path.c_str());
-    } else {
-      std::printf("embed cache: saved %zu embeddings to %s\n",
-                  embed_cache->LiveEntries(), embed_cache_path.c_str());
-    }
+    std::printf("embed cache: saved %zu embeddings to %s\n",
+                embed_cache->PersistedEntries(), embed_cache_path.c_str());
   }
   return 0;
 }

@@ -23,16 +23,13 @@
 //   --lm PREFIX       pre-trained LM cache prefix
 //   --epochs N        training epochs for every matcher (default 12)
 //   --embed-cache P   persistent warm-start store: served scores (and
-//                     training-time pair embeddings) are loaded from P
-//                     at startup and flushed back on drain, so a
-//                     restarted daemon answers previously seen pairs
-//                     without touching the model
+//                     training-time pair embeddings) live in a hash-index
+//                     file at P, read in place at startup and flushed
+//                     back on drain, so a restarted daemon answers
+//                     previously seen pairs without touching the model
+//                     or materializing the whole store (an unusable or
+//                     old flat-format file is rejected and rebuilt)
 //   --flush-every N   with --embed-cache: also flush every N inserts
-//   --cache-backend B with --embed-cache: ram (default, flat file loaded
-//                     whole at startup) or mmap (storage-backed hash
-//                     index served in place — a restart over a
-//                     beyond-RAM corpus warm-starts without ever
-//                     materializing the full cache)
 //   --queue-depth N   admission-queue capacity; beyond it requests are
 //                     shed with status "overloaded" (default 256)
 //   --max-batch N     max requests coalesced per scoring sweep
@@ -90,7 +87,6 @@ int main(int argc, char** argv) {
   std::string lm_prefix = "promptem_shared_lm";
   std::vector<std::string> matcher_names;
   std::string embed_cache_path;
-  std::string cache_backend = "ram";
   long long synthetic_rows = 0;
   long long port = -1;
   bool stdio_mode = false;
@@ -162,11 +158,6 @@ int main(int argc, char** argv) {
     } else if (arg == "--embed-cache") {
       embed_cache_path = next();
       if (embed_cache_path.empty()) BadOption(arg, "", "a non-empty path");
-    } else if (arg == "--cache-backend") {
-      cache_backend = next();
-      if (cache_backend != "ram" && cache_backend != "mmap") {
-        BadOption(arg, cache_backend.c_str(), "ram or mmap");
-      }
     } else if (arg == "--flush-every") {
       const char* value = next();
       if (!core::ParseInt64(value, &flush_every) || flush_every < 0) {
@@ -210,10 +201,6 @@ int main(int argc, char** argv) {
   }
   if (flush_every > 0 && embed_cache_path.empty()) {
     std::fprintf(stderr, "--flush-every requires --embed-cache\n");
-    return 2;
-  }
-  if (cache_backend == "mmap" && embed_cache_path.empty()) {
-    std::fprintf(stderr, "--cache-backend mmap requires --embed-cache\n");
     return 2;
   }
   // In stdio mode stdout carries the JSONL response stream, so every
@@ -273,21 +260,10 @@ int main(int argc, char** argv) {
   std::shared_ptr<em::EmbeddingCache> embed_cache;
   if (!embed_cache_path.empty()) {
     embed_cache = std::make_shared<em::EmbeddingCache>();
-    const core::Status loaded = embed_cache->Attach(
-        embed_cache_path, cache_backend == "mmap"
-                              ? em::EmbeddingCache::CacheBackend::kMmap
-                              : em::EmbeddingCache::CacheBackend::kRam);
+    const core::Status loaded = embed_cache->Attach(embed_cache_path);
     if (loaded.ok()) {
-      if (cache_backend == "mmap") {
-        std::fprintf(status_out,
-                     "embed cache: attached %zu entries in place from %s\n",
-                     embed_cache->PersistedEntries(),
-                     embed_cache_path.c_str());
-      } else {
-        std::fprintf(status_out,
-                     "embed cache: loaded %zu entries from %s\n",
-                     embed_cache->LiveEntries(), embed_cache_path.c_str());
-      }
+      std::fprintf(status_out, "embed cache: loaded %zu entries from %s\n",
+                   embed_cache->PersistedEntries(), embed_cache_path.c_str());
     } else if (loaded.code() == core::StatusCode::kNotFound) {
       std::fprintf(status_out, "embed cache: %s absent, starting empty\n",
                   embed_cache_path.c_str());
@@ -296,8 +272,7 @@ int main(int argc, char** argv) {
                    embed_cache_path.c_str(), loaded.ToString().c_str());
     }
     em::SetGlobalEmbeddingCache(embed_cache);
-    embed_cache->EnableAutosave(embed_cache_path,
-                                static_cast<size_t>(flush_every));
+    embed_cache->EnableAutosave(static_cast<size_t>(flush_every));
   }
 
   auto lm = lm::GetOrCreateSharedLM(lm_prefix, seed);
@@ -387,14 +362,14 @@ int main(int argc, char** argv) {
                     static_cast<double>(queue_stats.batches));
   }
   if (embed_cache != nullptr) {
-    const core::Status saved = embed_cache->FlushNow();
+    const core::Status saved = embed_cache->Save();
     if (!saved.ok()) {
       std::fprintf(stderr, "embed cache: drain flush failed: %s\n",
                    saved.ToString().c_str());
       return 1;
     }
     std::fprintf(status_out, "embed cache: flushed %zu entries to %s\n",
-                embed_cache->LiveEntries(), embed_cache_path.c_str());
+                 embed_cache->PersistedEntries(), embed_cache_path.c_str());
   }
   return 0;
 }
