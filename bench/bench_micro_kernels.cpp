@@ -99,37 +99,6 @@ void BM_GemmScalar(benchmark::State& state) {
 }
 BENCHMARK(BM_GemmScalar)->Arg(128)->Arg(256);
 
-/// Int8 dynamic-quantization GEMM (u7 activations x s8 weights, int32
-/// accumulators) over the NT shape Linear runs, active-variant and
-/// scalar-pinned twins.
-void GemmInt8Body(benchmark::State& state) {
-  const int n = static_cast<int>(state.range(0));
-  core::Rng rng(7);
-  std::vector<uint8_t> a(static_cast<size_t>(n) * n);
-  std::vector<int8_t> b(static_cast<size_t>(n) * n);
-  for (auto& v : a) v = static_cast<uint8_t>(rng.NextU64(128));
-  for (auto& v : b) {
-    v = static_cast<int8_t>(rng.UniformInt(-127, 127));
-  }
-  std::vector<int32_t> c(static_cast<size_t>(n) * n);
-  for (auto _ : state) {
-    tensor::kernels::GemmInt8NT(n, n, n, a.data(), n, b.data(), n, c.data(),
-                                n);
-    benchmark::DoNotOptimize(c.data());
-  }
-  state.SetItemsProcessed(state.iterations() * 2LL * n * n * n);
-}
-
-void BM_GemmInt8(benchmark::State& state) { GemmInt8Body(state); }
-BENCHMARK(BM_GemmInt8)->Arg(128)->Arg(256);
-
-void BM_GemmInt8Scalar(benchmark::State& state) {
-  tensor::kernels::ScopedKernelVariant scalar(
-      tensor::kernels::KernelVariant::kScalar);
-  GemmInt8Body(state);
-}
-BENCHMARK(BM_GemmInt8Scalar)->Arg(256);
-
 /// Same GEMM across pool sizes: Args({n, threads}). Sizes above the
 /// parallel threshold shard rows across the pool; the result is bitwise
 /// identical at every pool size.

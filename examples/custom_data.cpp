@@ -41,10 +41,10 @@ int main() {
               ds.TotalLabeled());
 
   // 3. Blocking: the step before matching in the classic EM workflow.
-  data::OverlapBlocker blocker(ds.left_table, ds.right_table);
   data::OverlapBlocker::Config block_config;
   block_config.top_k = 5;
-  auto candidates = blocker.GenerateCandidates(block_config);
+  data::OverlapBlocker blocker(ds.left_table, ds.right_table, block_config);
+  auto candidates = blocker.Drain();
   std::vector<data::PairExample> gold;
   for (const auto& p : ds.train) {
     if (p.label == 1) gold.push_back(p);

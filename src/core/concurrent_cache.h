@@ -31,10 +31,10 @@ namespace promptem::core {
 ///    slot's reference bit; when a full shard inserts, a clock hand
 ///    sweeps the slots, clearing reference bits until it finds a cold
 ///    entry to evict. Hot entries survive scan pressure.
-///  - Generation-counter invalidation (the QuantizedWeightCache pattern):
-///    entries are stamped with the cache generation at insert;
-///    Invalidate() bumps the counter and every older entry becomes a miss
-///    (and is reclaimed lazily when next touched or swept).
+///  - Generation-counter invalidation: entries are stamped with the cache
+///    generation at insert; Invalidate() bumps the counter and every
+///    older entry becomes a miss (and is reclaimed lazily when next
+///    touched or swept).
 ///
 /// Values are handed out as shared_ptr<const V>: eviction can race with a
 /// reader holding the value, and immutability is what makes a racy

@@ -283,7 +283,17 @@ Result<std::unique_ptr<HashIndex>> HashIndex::Open(const std::string& path) {
 }
 
 HashIndex::Snapshot HashIndex::snapshot() const {
-  return Snapshot(sealed_.load(std::memory_order_acquire));
+  std::lock_guard<std::mutex> lock(sealed_mu_);
+  return Snapshot(sealed_);
+}
+
+void HashIndex::Publish(std::shared_ptr<const SealedState> state) {
+  {
+    std::lock_guard<std::mutex> lock(sealed_mu_);
+    sealed_.swap(state);
+  }
+  // `state` now holds the previous generation; releasing it (an munmap
+  // for kMmap) happens outside the lock.
 }
 
 // ---------------------------------------------------------------------------
@@ -367,8 +377,8 @@ Status HashIndex::Seal() {
                   }),
       pending.end());
 
-  const std::shared_ptr<const SealedState> old =
-      sealed_.load(std::memory_order_acquire);
+  // Only Seal writes sealed_, and seal_mu_ is held: no lock needed to read.
+  const std::shared_ptr<const SealedState> old = sealed_;
 
   // Merge plan in ascending key order: staged keys replace their sealed
   // payload, untouched sealed keys carry over (for the mmap backend the
@@ -501,15 +511,14 @@ Status HashIndex::Seal() {
     }
     auto mapped = MapAndValidate(options_.path);
     if (!mapped.ok()) return mapped.status();
-    sealed_.store(std::move(mapped).value(), std::memory_order_release);
+    Publish(std::move(mapped).value());
     return Status::OK();
   }
 
   fresh->slot_count = slot_count;
   fresh->payload_bytes = payload_bytes;
   fresh->key_count = key_count;
-  sealed_.store(std::shared_ptr<const SealedState>(std::move(fresh)),
-                std::memory_order_release);
+  Publish(std::shared_ptr<const SealedState>(std::move(fresh)));
   return Status::OK();
 }
 

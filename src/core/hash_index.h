@@ -1,7 +1,6 @@
 #ifndef PROMPTEM_CORE_HASH_INDEX_H_
 #define PROMPTEM_CORE_HASH_INDEX_H_
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -35,7 +34,9 @@ namespace promptem::core {
 ///    byte-identical table — including the mmap file image.
 ///  - Reads are wait-free probes over an immutable sealed snapshot
 ///    (linear probing from Mix64(key), table kept at most half full).
-///    A Snapshot pins one sealed generation: spans returned by
+///    Pinning a snapshot copies one shared_ptr under a short mutex;
+///    probes through it take no lock. A Snapshot pins one sealed
+///    generation: spans returned by
 ///    Snapshot::Find stay valid for the snapshot's lifetime even while
 ///    a concurrent Seal publishes a new generation.
 ///  - Re-Seal merges: values staged since the last Seal replace that
@@ -172,10 +173,16 @@ class HashIndex {
 
   HashIndex(Options options, std::shared_ptr<const SealedState> sealed);
 
+  /// Swaps `state` in as the current sealed generation.
+  void Publish(std::shared_ptr<const SealedState> state);
+
   Options options_;
   std::unique_ptr<Shard[]> shards_;
-  /// Seal() publishes here; snapshot() loads. Immutable after publish.
-  std::atomic<std::shared_ptr<const SealedState>> sealed_;
+  /// Seal() publishes here; snapshot() copies. Immutable after publish.
+  /// A plain shared_ptr under a mutex rather than
+  /// std::atomic<std::shared_ptr>, whose libstdc++ lock TSan cannot see.
+  std::shared_ptr<const SealedState> sealed_;
+  mutable std::mutex sealed_mu_;
   /// Serializes Seal against itself (reads never take it).
   std::mutex seal_mu_;
 };

@@ -213,13 +213,12 @@ double OverlapBlocker::PairScore(int left_index, int right_index) const {
   return score;
 }
 
-void OverlapBlocker::CandidatesForLeftWithConfig(
-    int left_index, const Config& config,
-    std::vector<PairExample>* out) const {
+void OverlapBlocker::CandidatesForLeft(int left_index,
+                                       std::vector<PairExample>* out) const {
   const double n_docs =
       static_cast<double>(left_tokens_.size() + right_tokens_.size());
   const size_t stop_threshold = static_cast<size_t>(
-      std::max(1.0, config.max_token_frequency * n_docs));
+      std::max(1.0, config_.max_token_frequency * n_docs));
 
   // Sparse accumulation: only rights actually touched by a posting list
   // are tracked, so one left record costs O(candidate postings), not
@@ -238,7 +237,7 @@ void OverlapBlocker::CandidatesForLeftWithConfig(
   std::vector<int> order;
   order.reserve(hits.size());
   for (const auto& [j, slot] : hits) {
-    if (slot.second >= config.min_shared_tokens && slot.first > 0.0) {
+    if (slot.second >= config_.min_shared_tokens && slot.first > 0.0) {
       order.push_back(j);
     }
   }
@@ -248,36 +247,12 @@ void OverlapBlocker::CandidatesForLeftWithConfig(
   std::stable_sort(order.begin(), order.end(), [&](int a, int b) {
     return hits.find(a)->second.first > hits.find(b)->second.first;
   });
-  if (static_cast<int>(order.size()) > config.top_k) {
-    order.resize(static_cast<size_t>(config.top_k));
+  if (static_cast<int>(order.size()) > config_.top_k) {
+    order.resize(static_cast<size_t>(config_.top_k));
   }
   for (int j : order) {
     out->push_back({left_index, j, kUnlabeledLabel});
   }
-}
-
-void OverlapBlocker::CandidatesForLeft(int left_index,
-                                       std::vector<PairExample>* out) const {
-  CandidatesForLeftWithConfig(left_index, config_, out);
-}
-
-std::vector<PairExample> OverlapBlocker::GenerateCandidates(
-    const Config& config) const {
-  const size_t n_left = left_tokens_.size();
-  std::vector<std::vector<PairExample>> per_left(n_left);
-  core::ParallelFor(0, static_cast<int64_t>(n_left), kLeftGrain,
-                    [&](int64_t begin, int64_t end) {
-                      for (int64_t i = begin; i < end; ++i) {
-                        CandidatesForLeftWithConfig(
-                            static_cast<int>(i), config,
-                            &per_left[static_cast<size_t>(i)]);
-                      }
-                    });
-  std::vector<PairExample> candidates;
-  for (const auto& buf : per_left) {
-    candidates.insert(candidates.end(), buf.begin(), buf.end());
-  }
-  return candidates;
 }
 
 // ---------------------------------------------------------------------------

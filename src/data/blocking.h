@@ -131,11 +131,6 @@ class OverlapBlocker : public LeftStreamBlocker {
   size_t left_size() const override { return left_tokens_.size(); }
   size_t right_size() const override { return right_tokens_.size(); }
 
-  /// Generates every candidate at once (the pre-streaming API, kept for
-  /// small tables and tests); parallel over left records, output in left
-  /// order. Equivalent to Reset + Drain with `config`.
-  std::vector<PairExample> GenerateCandidates(const Config& config) const;
-
   /// Blocking score of one pair: summed IDF of shared tokens.
   double PairScore(int left_index, int right_index) const;
 
@@ -144,9 +139,6 @@ class OverlapBlocker : public LeftStreamBlocker {
                          std::vector<PairExample>* out) const override;
 
  private:
-  void CandidatesForLeftWithConfig(int left_index, const Config& config,
-                                   std::vector<PairExample>* out) const;
-
   Config config_;
   std::vector<std::vector<int>> left_tokens_;   // token ids per record
   std::vector<std::vector<int>> right_tokens_;  // token ids per record

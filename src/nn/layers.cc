@@ -21,22 +21,8 @@ Linear::Linear(int in_features, int out_features, core::Rng* rng, bool bias)
 
 tensor::Tensor Linear::Forward(const tensor::Tensor& x) const {
   PROMPTEM_CHECK(x.ndim() == 2 && x.dim(1) == in_features_);
-  if (!training() && tensor::quant::Int8EvalActive()) {
-    return QuantizedForward(x);
-  }
   tensor::Tensor y = ops::MatMul(x, weight_, false, /*trans_b=*/true);
   if (has_bias_) y = ops::AddBiasInPlace(std::move(y), bias_);
-  return y;
-}
-
-tensor::Tensor Linear::QuantizedForward(const tensor::Tensor& x) const {
-  const int rows = x.dim(0);
-  const tensor::quant::QuantizedWeight& qw =
-      qcache_.Get(weight_.data(), out_features_, in_features_);
-  tensor::Tensor y = tensor::Tensor::Zeros({rows, out_features_});
-  tensor::quant::Int8LinearForward(x.data(), rows, in_features_, qw,
-                                   has_bias_ ? bias_.data() : nullptr,
-                                   y.data());
   return y;
 }
 

@@ -5,7 +5,6 @@
 
 #include "nn/module.h"
 #include "tensor/ops.h"
-#include "tensor/quant.h"
 
 namespace promptem::nn {
 
@@ -15,11 +14,7 @@ class Linear : public Module {
   Linear(int in_features, int out_features, core::Rng* rng,
          bool bias = true);
 
-  /// x: [rows, in] -> [rows, out]. In eval mode with the int8
-  /// quantization path enabled (tensor/quant.h: --quantize int8 and a
-  /// graph-free pass), runs x through the dynamically quantized kernel
-  /// against a cached per-output-channel int8 copy of the weight;
-  /// training and MC-dropout passes always take the f32 op.
+  /// x: [rows, in] -> [rows, out].
   tensor::Tensor Forward(const tensor::Tensor& x) const;
 
   int in_features() const { return in_features_; }
@@ -28,16 +23,11 @@ class Linear : public Module {
   const tensor::Tensor& bias() const { return bias_; }
 
  private:
-  tensor::Tensor QuantizedForward(const tensor::Tensor& x) const;
-
   int in_features_;
   int out_features_;
   tensor::Tensor weight_;
   tensor::Tensor bias_;
   bool has_bias_;
-  /// Lazily built int8 weight image, invalidated through the global
-  /// quant generation (bumped when parameters may have changed).
-  mutable tensor::quant::QuantizedWeightCache qcache_;
 };
 
 /// Token embedding table [vocab, dim].

@@ -4,7 +4,6 @@
 #include "tensor/arena.h"
 #include "tensor/autograd.h"
 #include "tensor/kernels.h"
-#include "tensor/quant.h"
 
 namespace promptem::em {
 
@@ -20,14 +19,6 @@ constexpr int64_t kScoreGrain = 1;
 }  // namespace
 
 void ForEachGraphFree(int64_t n, const std::function<void(int64_t)>& fn) {
-  // A new eval sweep may follow optimizer steps or a checkpoint load;
-  // retire any int8 weight images quantized from the old parameters.
-  // Safe mid-training too: the bump only forces a (cheap) requantize on
-  // the next quantized forward, and it happens before — never during —
-  // the sharded loop, so every chunk sees the same generation.
-  if (tensor::quant::GetEvalQuantMode() == tensor::quant::EvalQuantMode::kInt8) {
-    tensor::quant::BumpQuantGeneration();
-  }
   core::ParallelFor(0, n, kScoreGrain, [&](int64_t begin, int64_t end) {
     tensor::NoGradGuard no_grad;
     tensor::ScratchArena arena;

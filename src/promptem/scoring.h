@@ -11,7 +11,6 @@
 #include "data/dataset.h"
 #include "promptem/embed_cache.h"
 #include "promptem/trainer.h"
-#include "tensor/quant.h"
 
 namespace promptem::em {
 
@@ -59,21 +58,6 @@ class ScopedTrainingMode {
   nn::Module* module_;
   bool was_training_;
 };
-
-/// Eval-traffic quantization switch for the engine. In kInt8 mode every
-/// graph-free sweep (ScoreBatch / ScoreIndexed / EmbedBatch) runs its
-/// Linear forwards through the dynamically quantized int8 kernel
-/// (tensor/quant.h); training and MC-dropout (ScoreBatchStochastic)
-/// always stay f32 because they run with training-mode/grad semantics.
-/// Each sweep entry bumps the quant generation, so weight updates between
-/// sweeps requantize lazily. Exact across kernel variants (the int8 GEMM
-/// is integer arithmetic) and bitwise deterministic at any pool size.
-inline void SetEvalQuantization(tensor::quant::EvalQuantMode mode) {
-  tensor::quant::SetEvalQuantMode(mode);
-}
-inline tensor::quant::EvalQuantMode GetEvalQuantization() {
-  return tensor::quant::GetEvalQuantMode();
-}
 
 /// Runs `fn(i)` for every i in [0, n) across the thread pool. Each worker
 /// chunk executes under a NoGradGuard and a fresh ScratchArena scope, so

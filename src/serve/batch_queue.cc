@@ -30,15 +30,6 @@ std::vector<PendingRequest> BatchQueue::DequeueBatch() {
   ready_.wait(lock, [this] { return !queue_.empty() || closed_; });
   if (queue_.empty()) return {};  // closed and drained
 
-  if (config_.linger.count() > 0 && queue_.size() < config_.max_batch &&
-      !closed_) {
-    // Hold a small batch open briefly; more arrivals coalesce into this
-    // sweep instead of paying a whole scoring cycle of queueing delay.
-    ready_.wait_for(lock, config_.linger, [this] {
-      return queue_.size() >= config_.max_batch || closed_;
-    });
-  }
-
   std::vector<PendingRequest> batch;
   const size_t take = std::min(queue_.size(), config_.max_batch);
   batch.reserve(take);

@@ -36,15 +36,12 @@ struct PendingRequest {
 /// (shed early, shed loudly). DequeueBatch blocks for the first request
 /// only, then greedily drains up to `max_batch` more: under load, the
 /// requests that accumulated while the scorer was busy form the next
-/// batch — natural coalescing with zero added idle latency. `linger`
-/// optionally holds a sub-max batch open for stragglers, trading a bounded
-/// latency bump for larger sweeps.
+/// batch — natural coalescing with zero added idle latency.
 class BatchQueue {
  public:
   struct Config {
     size_t capacity = 256;  ///< max requests waiting (not yet dequeued)
     size_t max_batch = 64;  ///< max requests per DequeueBatch
-    std::chrono::microseconds linger{0};
   };
 
   struct Stats {

@@ -401,24 +401,6 @@ void GeluGradRowScalar(const float* x, const float* dout, float* dx,
   }
 }
 
-/// Exact integer u8 x s8 dots; bit-identical to the AVX2 maddubs kernel
-/// as long as A stays in [0, 127] (no saturation on either path).
-void GemmInt8NTScalar(int m, int n, int k, const uint8_t* a, int lda,
-                      const int8_t* b, int ldb, int32_t* c, int ldc) {
-  for (int i = 0; i < m; ++i) {
-    const uint8_t* arow = a + static_cast<int64_t>(i) * lda;
-    int32_t* crow = c + static_cast<int64_t>(i) * ldc;
-    for (int j = 0; j < n; ++j) {
-      const int8_t* brow = b + static_cast<int64_t>(j) * ldb;
-      int32_t acc = 0;
-      for (int p = 0; p < k; ++p) {
-        acc += static_cast<int32_t>(arow[p]) * static_cast<int32_t>(brow[p]);
-      }
-      crow[j] = acc;
-    }
-  }
-}
-
 /// The table the dispatcher swaps in; initialized lazily so the env check
 /// and CPUID run once. Benign init race: every thread resolves the same
 /// pointer.
@@ -441,7 +423,6 @@ const KernelTable& ScalarTable() {
       GemmTNChunk,            GemmTTChunk,      GemmStridedImpl,
       ExpRowSumScalar,        SumExpRowScalar,  RowMaxScalar,
       LayerNormRowScalar,     GeluRowScalar,    GeluGradRowScalar,
-      GemmInt8NTScalar,
   };
   return table;
 }
@@ -557,11 +538,6 @@ void GemmStrided(bool trans_a, bool trans_b, int m, int n, int k,
   }
   detail::Active().gemm_strided(trans_a, trans_b, m, n, k, alpha, a, lda, b,
                                 ldb, c, ldc);
-}
-
-void GemmInt8NT(int m, int n, int k, const uint8_t* a, int lda,
-                const int8_t* b, int ldb, int32_t* c, int ldc) {
-  detail::Active().gemm_int8_nt(m, n, k, a, lda, b, ldb, c, ldc);
 }
 
 void CopyBlock(const float* src, int ld_src, float* dst, int ld_dst,

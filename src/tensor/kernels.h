@@ -10,9 +10,7 @@ namespace promptem::tensor::kernels {
 /// micro-kernel set, selected at startup when CPUID reports AVX2+FMA.
 /// Results are bitwise deterministic at any pool size *within* one
 /// variant; across variants they agree only to floating-point tolerance
-/// (FMA contraction, 8-lane reduction trees, GELU's polynomial tanh) —
-/// except the int8 GEMM, whose integer arithmetic is exact and
-/// bit-identical in both.
+/// (FMA contraction, 8-lane reduction trees, GELU's polynomial tanh).
 enum class KernelVariant { kScalar = 0, kAvx2 = 1 };
 
 /// The variant every dispatched kernel currently runs.
@@ -118,17 +116,6 @@ void CopyBlock(const float* src, int ld_src, float* dst, int ld_dst,
 /// backward of a column-block slice).
 void AddBlock(const float* src, int ld_src, float* dst, int ld_dst,
               int rows, int cols);
-
-/// Integer GEMM for the dynamically quantized inference path:
-/// C[i, j] (int32) = sum_p A[i, p] * B[j, p], with A an m x k matrix of
-/// u8 activations (row stride lda) and B an n x k matrix of s8 weights
-/// (row stride ldb) — the NT shape of Linear's x @ W^T. A's values must
-/// stay in [0, 127] (the u7 activation contract from tensor/quant.h);
-/// that bound keeps the AVX2 maddubs pair-sums inside int16 range, so
-/// the arithmetic is exact and the scalar and AVX2 variants produce
-/// identical bits. Runs on the calling thread.
-void GemmInt8NT(int m, int n, int k, const uint8_t* a, int lda,
-                const int8_t* b, int ldb, int32_t* c, int ldc);
 
 /// Tanh-approximation GELU over n elements: out[j] = gelu(x[j]); x and
 /// out may alias. The scalar variant is the libm-tanh reference; the AVX2

@@ -12,8 +12,7 @@
 // size — so results are bitwise identical for any PROMPTEM_NUM_THREADS.
 // Relative to the scalar variant the float kernels differ by FMA
 // contraction, 8-lane reduction grouping and GELU's exp-based tanh
-// (documented tolerance, see DESIGN.md); the int8 kernel is exact integer
-// arithmetic and matches the scalar variant bit for bit.
+// (documented tolerance, see DESIGN.md).
 
 #ifdef PROMPTEM_HAVE_AVX2
 
@@ -42,15 +41,6 @@ inline float HSum(__m256 v) {
   s = _mm_add_ps(s, _mm_movehl_ps(s, s));
   s = _mm_add_ss(s, _mm_shuffle_ps(s, s, 1));
   return _mm_cvtss_f32(s);
-}
-
-inline int32_t HSumI32(__m256i v) {
-  const __m128i lo = _mm256_castsi256_si128(v);
-  const __m128i hi = _mm256_extracti128_si256(v, 1);
-  __m128i s = _mm_add_epi32(lo, hi);
-  s = _mm_add_epi32(s, _mm_unpackhi_epi64(s, s));
-  s = _mm_add_epi32(s, _mm_shuffle_epi32(s, 1));
-  return _mm_cvtsi128_si32(s);
 }
 
 /// 8-lane Cephes-style expf on v - m: the same clamp, Cody-Waite
@@ -730,93 +720,6 @@ void GeluGradRowAvx2(const float* x, const float* dout, float* dx,
   }
 }
 
-// ---------------------------------------------------------------------------
-// Int8 GEMM: u8 activations x s8 weights, maddubs pairs -> madd(1) i32
-// lanes -> i32 accumulators. Exact (no saturation) because activations
-// obey the u7 contract: |pair sum| <= 2 * 127 * 127 < 2^15.
-
-void GemmInt8NTAvx2(int m, int n, int k, const uint8_t* a, int lda,
-                    const int8_t* b, int ldb, int32_t* c, int ldc) {
-  const __m256i ones = _mm256_set1_epi16(1);
-  for (int i = 0; i < m; ++i) {
-    const uint8_t* arow = a + static_cast<int64_t>(i) * lda;
-    int32_t* crow = c + static_cast<int64_t>(i) * ldc;
-    int j = 0;
-    for (; j + 4 <= n; j += 4) {
-      const int8_t* b0 = b + static_cast<int64_t>(j) * ldb;
-      const int8_t* b1 = b0 + ldb;
-      const int8_t* b2 = b1 + ldb;
-      const int8_t* b3 = b2 + ldb;
-      __m256i acc0 = _mm256_setzero_si256();
-      __m256i acc1 = _mm256_setzero_si256();
-      __m256i acc2 = _mm256_setzero_si256();
-      __m256i acc3 = _mm256_setzero_si256();
-      int p = 0;
-      for (; p + 32 <= k; p += 32) {
-        const __m256i av = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i*>(arow + p));
-        acc0 = _mm256_add_epi32(
-            acc0, _mm256_madd_epi16(
-                      _mm256_maddubs_epi16(
-                          av, _mm256_loadu_si256(
-                                  reinterpret_cast<const __m256i*>(b0 + p))),
-                      ones));
-        acc1 = _mm256_add_epi32(
-            acc1, _mm256_madd_epi16(
-                      _mm256_maddubs_epi16(
-                          av, _mm256_loadu_si256(
-                                  reinterpret_cast<const __m256i*>(b1 + p))),
-                      ones));
-        acc2 = _mm256_add_epi32(
-            acc2, _mm256_madd_epi16(
-                      _mm256_maddubs_epi16(
-                          av, _mm256_loadu_si256(
-                                  reinterpret_cast<const __m256i*>(b2 + p))),
-                      ones));
-        acc3 = _mm256_add_epi32(
-            acc3, _mm256_madd_epi16(
-                      _mm256_maddubs_epi16(
-                          av, _mm256_loadu_si256(
-                                  reinterpret_cast<const __m256i*>(b3 + p))),
-                      ones));
-      }
-      int32_t t0 = HSumI32(acc0);
-      int32_t t1 = HSumI32(acc1);
-      int32_t t2 = HSumI32(acc2);
-      int32_t t3 = HSumI32(acc3);
-      for (; p < k; ++p) {
-        const int32_t av = arow[p];
-        t0 += av * b0[p];
-        t1 += av * b1[p];
-        t2 += av * b2[p];
-        t3 += av * b3[p];
-      }
-      crow[j] = t0;
-      crow[j + 1] = t1;
-      crow[j + 2] = t2;
-      crow[j + 3] = t3;
-    }
-    for (; j < n; ++j) {
-      const int8_t* bj = b + static_cast<int64_t>(j) * ldb;
-      __m256i acc = _mm256_setzero_si256();
-      int p = 0;
-      for (; p + 32 <= k; p += 32) {
-        acc = _mm256_add_epi32(
-            acc, _mm256_madd_epi16(
-                     _mm256_maddubs_epi16(
-                         _mm256_loadu_si256(
-                             reinterpret_cast<const __m256i*>(arow + p)),
-                         _mm256_loadu_si256(
-                             reinterpret_cast<const __m256i*>(bj + p))),
-                     ones));
-      }
-      int32_t t = HSumI32(acc);
-      for (; p < k; ++p) t += static_cast<int32_t>(arow[p]) * bj[p];
-      crow[j] = t;
-    }
-  }
-}
-
 }  // namespace
 
 const KernelTable& Avx2Table() {
@@ -825,7 +728,6 @@ const KernelTable& Avx2Table() {
       GemmTNChunkAvx2,      GemmTTChunkAvx2, GemmStridedAvx2,
       ExpRowSumAvx2,        SumExpRowAvx2,   RowMaxAvx2,
       LayerNormRowAvx2,     GeluRowAvx2,     GeluGradRowAvx2,
-      GemmInt8NTAvx2,
   };
   return table;
 }

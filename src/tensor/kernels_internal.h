@@ -60,14 +60,6 @@ struct KernelTable {
   /// dx[j] += dout[j] * gelu'(x[j]) for j in [0, n).
   void (*gelu_grad_row)(const float* x, const float* dout, float* dx,
                         int64_t n);
-
-  /// C[i, j] (int32) = sum_p A[i, p] * B[j, p] for u8 A (m x k, row stride
-  /// lda) and s8 B (n x k, row stride ldb). Exact integer arithmetic:
-  /// every variant produces identical bits provided A values stay in
-  /// [0, 127] (the u7 activation contract, which keeps the AVX2
-  /// maddubs pair-sums inside int16 range).
-  void (*gemm_int8_nt)(int m, int n, int k, const uint8_t* a, int lda,
-                       const int8_t* b, int ldb, int32_t* c, int ldc);
 };
 
 /// The portable reference table (always available).

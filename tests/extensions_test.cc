@@ -220,10 +220,10 @@ TEST(IoTest, CsvNumericCellsBecomeNumbers) {
 TEST(BlockingTest, KeepsTrueMatchesPrunesSpace) {
   data::GemDataset ds =
       data::GenerateBenchmark(data::BenchmarkKind::kSemiHomo, 7);
-  data::OverlapBlocker blocker(ds.left_table, ds.right_table);
   data::OverlapBlocker::Config config;
   config.top_k = 10;
-  auto candidates = blocker.GenerateCandidates(config);
+  data::OverlapBlocker blocker(ds.left_table, ds.right_table, config);
+  auto candidates = blocker.Drain();
 
   std::vector<data::PairExample> gold;
   for (const auto& p : ds.train) {
@@ -250,10 +250,10 @@ TEST(BlockingTest, TopKBoundsCandidatesPerLeft) {
   small.size_scale = 0.3;
   data::GemDataset ds =
       data::GenerateBenchmark(data::BenchmarkKind::kSemiHomo, 7, small);
-  data::OverlapBlocker blocker(ds.left_table, ds.right_table);
   data::OverlapBlocker::Config config;
   config.top_k = 3;
-  auto candidates = blocker.GenerateCandidates(config);
+  data::OverlapBlocker blocker(ds.left_table, ds.right_table, config);
+  auto candidates = blocker.Drain();
   std::map<int, int> per_left;
   for (const auto& c : candidates) ++per_left[c.left_index];
   for (const auto& [left, count] : per_left) EXPECT_LE(count, 3);

@@ -172,16 +172,6 @@ TEST(BlockerTest, StreamIsPoolSizeInvariant) {
   }
 }
 
-TEST(BlockerTest, OverlapGenerateCandidatesMatchesStream) {
-  const data::GemDataset ds =
-      data::GenerateBenchmark(data::BenchmarkKind::kSemiHomo, 7);
-  data::OverlapBlocker::Config config;
-  config.top_k = 5;
-  data::OverlapBlocker blocker(ds.left_table, ds.right_table, config);
-  EXPECT_TRUE(SamePairs(blocker.GenerateCandidates(config),
-                        DrainWithChunk(&blocker, 37)));
-}
-
 // ---------------------------------------------------------------------------
 // Synthetic workload generator
 // ---------------------------------------------------------------------------

@@ -298,8 +298,7 @@ serve::PendingRequest Pending(uint64_t id,
 }
 
 TEST(BatchQueueTest, ShedsBeyondCapacityAndDrainsAfterClose) {
-  serve::BatchQueue queue({/*capacity=*/2, /*max_batch=*/8,
-                           std::chrono::microseconds{0}});
+  serve::BatchQueue queue({/*capacity=*/2, /*max_batch=*/8});
   std::vector<serve::MatchResponse> sink;
   std::mutex sink_mu;
   EXPECT_TRUE(queue.TryEnqueue(Pending(1, &sink, &sink_mu)));
@@ -321,8 +320,7 @@ TEST(BatchQueueTest, ShedsBeyondCapacityAndDrainsAfterClose) {
 }
 
 TEST(BatchQueueTest, MaxBatchBoundsOneDequeue) {
-  serve::BatchQueue queue({/*capacity=*/16, /*max_batch=*/3,
-                           std::chrono::microseconds{0}});
+  serve::BatchQueue queue({/*capacity=*/16, /*max_batch=*/3});
   std::vector<serve::MatchResponse> sink;
   std::mutex sink_mu;
   for (uint64_t id = 0; id < 8; ++id) {
@@ -336,8 +334,7 @@ TEST(BatchQueueTest, MaxBatchBoundsOneDequeue) {
 }
 
 TEST(BatchQueueTest, DequeueBlocksUntilWorkArrives) {
-  serve::BatchQueue queue({/*capacity=*/4, /*max_batch=*/4,
-                           std::chrono::microseconds{0}});
+  serve::BatchQueue queue({/*capacity=*/4, /*max_batch=*/4});
   std::vector<serve::MatchResponse> sink;
   std::mutex sink_mu;
   std::atomic<size_t> got{0};

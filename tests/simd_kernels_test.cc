@@ -1,9 +1,9 @@
 // Parity and determinism coverage for the kernel-variant dispatch
 // (tensor/kernels.h): the hand-written AVX2 micro-kernels against the
-// portable scalar reference, the shared fast expf against libm, the int8
-// GEMM's exactness contract, and pool-size bitwise determinism for every
-// new kernel. AVX2-vs-scalar comparisons GTEST_SKIP on hardware without
-// AVX2 (the scalar half still runs through the dispatch wrappers there).
+// portable scalar reference, the shared fast expf against libm, and
+// pool-size bitwise determinism for every new kernel. AVX2-vs-scalar
+// comparisons GTEST_SKIP on hardware without AVX2 (the scalar half still
+// runs through the dispatch wrappers there).
 
 #include <algorithm>
 #include <cmath>
@@ -18,13 +18,11 @@
 #include "core/rng.h"
 #include "core/thread_pool.h"
 #include "tensor/kernels.h"
-#include "tensor/quant.h"
 
 namespace promptem {
 namespace {
 
 namespace kernels = tensor::kernels;
-namespace quant = tensor::quant;
 using kernels::KernelVariant;
 using kernels::ScopedKernelVariant;
 
@@ -401,171 +399,6 @@ TEST(GeluParityTest, BackwardAccumulatesIntoDx) {
           << kernels::KernelVariantName(variant) << " i=" << i;
     }
   }
-}
-
-/// The int8 GEMM is exact integer arithmetic: both variants must agree
-/// bit for bit, and against a plain int32 reference loop.
-TEST(Int8GemmTest, VariantsBitIdenticalAndExact) {
-  core::Rng rng(11);
-  for (int m : {1, 3, 8, 17}) {
-    for (int n : {1, 2, 5, 16, 33}) {
-      for (int k : {1, 7, 31, 32, 33, 64, 100}) {
-        std::vector<uint8_t> a(static_cast<size_t>(m) * k);
-        std::vector<int8_t> b(static_cast<size_t>(n) * k);
-        // Worst-case magnitudes: the u7 contract's saturation headroom
-        // is exactly what this exercises.
-        for (auto& v : a) v = static_cast<uint8_t>(rng.NextU64(128));
-        for (auto& v : b) {
-          v = static_cast<int8_t>(rng.UniformInt(-127, 127));
-        }
-        std::vector<int32_t> want(static_cast<size_t>(m) * n);
-        for (int i = 0; i < m; ++i) {
-          for (int j = 0; j < n; ++j) {
-            int64_t s = 0;
-            for (int p = 0; p < k; ++p) {
-              s += static_cast<int64_t>(a[static_cast<size_t>(i) * k + p]) *
-                   b[static_cast<size_t>(j) * k + p];
-            }
-            want[static_cast<size_t>(i) * n + j] =
-                static_cast<int32_t>(s);
-          }
-        }
-        std::vector<int32_t> got_scalar(want.size(), -1);
-        std::vector<int32_t> got_active(want.size(), -1);
-        {
-          ScopedKernelVariant scalar(KernelVariant::kScalar);
-          kernels::GemmInt8NT(m, n, k, a.data(), k, b.data(), k,
-                              got_scalar.data(), n);
-        }
-        kernels::GemmInt8NT(m, n, k, a.data(), k, b.data(), k,
-                            got_active.data(), n);
-        EXPECT_EQ(got_scalar, want) << "m=" << m << " n=" << n << " k=" << k;
-        EXPECT_EQ(got_active, want) << "m=" << m << " n=" << n << " k=" << k;
-      }
-    }
-  }
-}
-
-TEST(QuantizeTest, WeightRoundTripWithinHalfStep)
-{
-  core::Rng rng(21);
-  const int rows = 9;
-  const int cols = 33;
-  auto w = RandomVec(static_cast<size_t>(rows) * cols, &rng);
-  const quant::QuantizedWeight qw =
-      quant::QuantizeWeightPerChannel(w.data(), rows, cols);
-  ASSERT_EQ(qw.rows, rows);
-  ASSERT_EQ(qw.cols, cols);
-  for (int o = 0; o < rows; ++o) {
-    float amax = 0.0f;
-    int32_t sum = 0;
-    for (int p = 0; p < cols; ++p) {
-      const size_t idx = static_cast<size_t>(o) * cols + p;
-      const float deq = qw.scales[o] * qw.data[idx];
-      // Symmetric s8: round-trip error is at most half a quantization
-      // step per element.
-      EXPECT_LE(std::fabs(deq - w[idx]), 0.5f * qw.scales[o] + 1e-7f);
-      amax = std::max(amax, std::fabs(w[idx]));
-      sum += qw.data[idx];
-    }
-    EXPECT_NEAR(qw.scales[o], amax / 127.0f, 1e-9f);
-    EXPECT_EQ(qw.row_sums[o], sum);
-  }
-}
-
-TEST(QuantizeTest, ZeroChannelAndConstantRows) {
-  // All-zero weight channel dequantizes to exactly zero.
-  std::vector<float> w(8, 0.0f);
-  const quant::QuantizedWeight qw =
-      quant::QuantizeWeightPerChannel(w.data(), 1, 8);
-  for (int8_t q : qw.data) EXPECT_EQ(q, 0);
-  EXPECT_EQ(qw.scales[0], 1.0f);
-
-  // Constant activation rows encode the value exactly, including the
-  // negative and zero cases.
-  for (float v : {0.0f, 2.5f, -3.75f}) {
-    std::vector<float> x(11, v);
-    std::vector<uint8_t> q(11);
-    float scale = 0.0f;
-    int32_t zero = -1;
-    quant::QuantizeRowU7(x.data(), 11, q.data(), &scale, &zero);
-    for (uint8_t code : q) {
-      EXPECT_EQ(scale * (static_cast<int32_t>(code) - zero), v);
-      EXPECT_LE(code, 127);
-    }
-    EXPECT_GE(zero, 0);
-    EXPECT_LE(zero, 127);
-  }
-}
-
-TEST(QuantizeTest, ActivationRoundTripWithinOneStep) {
-  core::Rng rng(31);
-  for (int n : {1, 2, 17, 64}) {
-    const auto x = RandomVec(n, &rng);
-    std::vector<uint8_t> q(n);
-    float scale = 0.0f;
-    int32_t zero = -1;
-    quant::QuantizeRowU7(x.data(), n, q.data(), &scale, &zero);
-    for (int j = 0; j < n; ++j) {
-      EXPECT_LE(q[j], 127);
-      const float deq = scale * (static_cast<int32_t>(q[j]) - zero);
-      // Asymmetric u7: half a step of rounding plus up to half a step
-      // from the zero-point's own rounding.
-      EXPECT_LE(std::fabs(deq - x[j]), scale + 1e-6f)
-          << "n=" << n << " j=" << j;
-    }
-  }
-}
-
-TEST(QuantizeTest, Int8LinearForwardApproximatesF32) {
-  core::Rng rng(41);
-  const int m = 6, k = 48, n = 10;
-  const auto x = RandomVec(static_cast<size_t>(m) * k, &rng);
-  const auto w = RandomVec(static_cast<size_t>(n) * k, &rng);
-  const auto bias = RandomVec(n, &rng);
-  const quant::QuantizedWeight qw =
-      quant::QuantizeWeightPerChannel(w.data(), n, k);
-
-  std::vector<float> y_f32(static_cast<size_t>(m) * n, 0.0f);
-  for (int i = 0; i < m; ++i) {
-    for (int o = 0; o < n; ++o) {
-      float s = bias[o];
-      for (int p = 0; p < k; ++p) {
-        s += x[static_cast<size_t>(i) * k + p] *
-             w[static_cast<size_t>(o) * k + p];
-      }
-      y_f32[static_cast<size_t>(i) * n + o] = s;
-    }
-  }
-  std::vector<float> y_q(static_cast<size_t>(m) * n, 0.0f);
-  quant::Int8LinearForward(x.data(), m, k, qw, bias.data(), y_q.data());
-
-  // 7-bit dynamic quantization on Gaussian data: ~1% of the row's dynamic
-  // range per element, sqrt(k)-accumulated. Loose bound, tight enough to
-  // catch a wrong zero-point/row_sums correction (which shifts results
-  // by whole units).
-  for (size_t i = 0; i < y_q.size(); ++i) {
-    EXPECT_NEAR(y_q[i], y_f32[i], 0.35f) << "i=" << i;
-  }
-  float mean_abs = 0.0f;
-  for (size_t i = 0; i < y_q.size(); ++i) {
-    mean_abs += std::fabs(y_q[i] - y_f32[i]);
-  }
-  mean_abs /= static_cast<float>(y_q.size());
-  EXPECT_LE(mean_abs, 0.08f);
-}
-
-TEST(QuantizeTest, CacheRebuildsOnGenerationBump) {
-  std::vector<float> w = {1.0f, -2.0f, 3.0f, -4.0f};
-  quant::QuantizedWeightCache cache;
-  const quant::QuantizedWeight& q1 = cache.Get(w.data(), 2, 2);
-  const int8_t first = q1.data[0];
-  // Same generation: mutating w is NOT observed (cached image).
-  w[0] = 100.0f;
-  EXPECT_EQ(cache.Get(w.data(), 2, 2).data[0], first);
-  // After a bump the cache requantizes from the new weights.
-  quant::BumpQuantGeneration();
-  EXPECT_NE(cache.Get(w.data(), 2, 2).data[0], first);
 }
 
 /// Every dispatched kernel must produce identical bits at any pool size

@@ -68,8 +68,6 @@ void PrintUsage() {
       "  --lm PREFIX     pre-trained LM cache prefix\n"
       "                  (default promptem_shared_lm)\n"
       "  --run-log PATH  append one JSON record per training epoch to PATH\n"
-      "  --quantize Q    eval-path quantization: none (default) or int8\n"
-      "                  (training always runs f32)\n"
       "  --pseudo P      pseudo-label selection strategy: uncertainty\n"
       "                  (default, the paper's choice), confidence, or\n"
       "                  clustering (k-means on pair embeddings)\n"
@@ -112,7 +110,7 @@ void PrintUsage() {
       "  peak RSS and, for minhash, per-band index bytes and bucket-cap\n"
       "  eviction counts (no training involved)\n"
       "promptem_cli --kernel-info\n"
-      "  print detected ISA, active kernel variant, and quantization mode\n"
+      "  print detected ISA and active kernel variant\n"
       "  (PROMPTEM_FORCE_SCALAR=1 pins the portable kernels)");
 }
 
@@ -126,11 +124,6 @@ void PrintKernelInfo() {
               kernels::ScalarForced() ? "yes" : "no");
   std::printf("kernel variant:  %s\n",
               kernels::KernelVariantName(kernels::ActiveKernelVariant()));
-  std::printf("eval quantize:   %s\n",
-              em::GetEvalQuantization() ==
-                      tensor::quant::EvalQuantMode::kInt8
-                  ? "int8"
-                  : "f32");
 }
 
 std::optional<data::BenchmarkKind> KindByName(const std::string& name) {
@@ -218,7 +211,6 @@ int main(int argc, char** argv) {
   std::string export_dir;
   std::string run_log_path;
   std::string custom_name = "custom";
-  std::string quantize = "none";
   double rate = -1.0;
   int labels = -1;
   uint64_t seed = 42;
@@ -261,11 +253,6 @@ int main(int argc, char** argv) {
     } else if (arg == "--kernel-info") {
       PrintKernelInfo();
       return 0;
-    } else if (arg == "--quantize") {
-      quantize = next();
-      if (quantize != "none" && quantize != "int8") {
-        BadOption(arg, quantize.c_str(), "none or int8");
-      }
     } else if (arg == "--list-matchers") {
       for (const auto& name :
            train::MatcherRegistry::Instance().ListedNames()) {
@@ -650,19 +637,13 @@ int main(int argc, char** argv) {
           : data::MakeLowResourceSplit(
                 dataset, rate > 0.0 ? rate : dataset.default_rate, &rng);
 
-  if (quantize == "int8") {
-    em::SetEvalQuantization(tensor::quant::EvalQuantMode::kInt8);
-  }
-
   std::printf("%s on %s: %zu labeled / %zu unlabeled / %zu valid / %zu "
               "test pairs\n",
               matcher_name.c_str(), dataset.name.c_str(),
               split.labeled.size(), split.unlabeled.size(),
               split.valid.size(), split.test.size());
-  std::printf("kernels: %s, eval quantize: %s\n",
-              tensor::kernels::KernelVariantName(
-                  tensor::kernels::ActiveKernelVariant()),
-              quantize.c_str());
+  std::printf("kernels: %s\n", tensor::kernels::KernelVariantName(
+                                   tensor::kernels::ActiveKernelVariant()));
 
   train::MatcherContext ctx;
   ctx.lm = lm.get();

@@ -34,8 +34,6 @@
 //                     shed with status "overloaded" (default 256)
 //   --max-batch N     max requests coalesced per scoring sweep
 //                     (default 64)
-//   --linger-us U     hold a sub-max batch open U microseconds for
-//                     stragglers (default 0)
 //
 // Protocol: see src/serve/protocol.h. SIGINT/SIGTERM drain gracefully:
 // admitted requests finish, the cache is flushed, exit status 0.
@@ -97,7 +95,6 @@ int main(int argc, char** argv) {
   long long flush_every = 0;
   long long queue_depth = 256;
   long long max_batch = 64;
-  long long linger_us = 0;
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -174,12 +171,6 @@ int main(int argc, char** argv) {
       if (!core::ParseInt64(value, &max_batch) || max_batch < 1 ||
           max_batch > (1 << 20)) {
         BadOption(arg, value, "a positive batch size");
-      }
-    } else if (arg == "--linger-us") {
-      const char* value = next();
-      if (!core::ParseInt64(value, &linger_us) || linger_us < 0 ||
-          linger_us > 10'000'000) {
-        BadOption(arg, value, "a linger in [0, 10^7] microseconds");
       }
     } else {
       std::fprintf(stderr, "unknown flag %s\n", arg.c_str());
@@ -320,7 +311,6 @@ int main(int argc, char** argv) {
   daemon_config.port = stdio_mode ? -1 : static_cast<int>(port);
   daemon_config.queue.capacity = static_cast<size_t>(queue_depth);
   daemon_config.queue.max_batch = static_cast<size_t>(max_batch);
-  daemon_config.queue.linger = std::chrono::microseconds(linger_us);
   serve::ServeDaemon daemon(&service, daemon_config);
 
   const core::Status started = daemon.Start();

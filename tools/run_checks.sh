@@ -36,12 +36,15 @@ extra_flags=("$@")
 # 1. The whole suite under a plain Release build.
 run_suite build-checks "" -DCMAKE_BUILD_TYPE=Release
 
-# 2. The memory-safety set (execution engine, fused attention, fault
-#    injection) under AddressSanitizer.
+# 2. The memory-safety set (every "asan" label in tests/CMakeLists.txt:
+#    execution engine, fused attention, SIMD kernels, streaming pipeline,
+#    caches, hash index, serving, fault injection) under AddressSanitizer.
 run_suite build-asan asan -DPROMPTEM_SANITIZE=address
 
-# 3. The concurrency set (pool determinism, fused attention) under
-#    ThreadSanitizer.
+# 3. The concurrency set (every "tsan" label: pool determinism, fused
+#    attention, SIMD kernels, streaming pipeline, caches, hash index,
+#    serving) under ThreadSanitizer. Every "cache" suite also carries
+#    "tsan", so this matches CI's -L "tsan|cache".
 run_suite build-tsan tsan -DPROMPTEM_SANITIZE=thread
 
 echo "run_checks.sh: all suites passed"
