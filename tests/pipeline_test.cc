@@ -12,6 +12,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/hashing.h"
 #include "core/rng.h"
 #include "core/thread_pool.h"
 #include "data/benchmarks.h"
@@ -270,6 +271,38 @@ TEST(MinHashBlockerTest, RecallOnSyntheticWorkload) {
   EXPECT_GE(quality.pair_completeness, 0.9);
   EXPECT_GE(quality.reduction_ratio, 0.9);
   EXPECT_GT(quality.num_candidates, 0u);
+}
+
+/// FNV-1a over the (left, right) indices of a drained candidate stream.
+uint64_t StreamDigest(data::Blocker* blocker) {
+  uint64_t hash = core::kFnv1aOffset;
+  for (const auto& p : blocker->Drain()) {
+    const int32_t ids[2] = {p.left_index, p.right_index};
+    hash = core::Fnv1a64(ids, sizeof(ids), hash);
+  }
+  return hash;
+}
+
+// Pins the generator's and both blockers' built-in constants (shingle
+// length, band layout, hash seed, bucket caps, stop-token frequency,
+// distractor share, perturbation rate) across commits: the backend
+// parity tests compare backends that read the same constants, so only
+// a golden value catches a drifted default.
+TEST(BlockingGoldenTest, DefaultStreamsAreStable) {
+  data::SyntheticTableOptions options;
+  options.rows = 600;
+  options.seed = 7;
+  const data::SyntheticTables tables =
+      data::GenerateSyntheticTables(options);
+  data::GemDataset ds;
+  ds.left_table = tables.left;
+  ds.right_table = tables.right;
+  EXPECT_EQ(data::DatasetFingerprint(ds), 16842860938628339710ull);
+
+  data::MinHashBlocker minhash(tables.left, tables.right);
+  EXPECT_EQ(StreamDigest(&minhash), 9038265909697079073ull);
+  data::OverlapBlocker overlap(tables.left, tables.right);
+  EXPECT_EQ(StreamDigest(&overlap), 5084022936426442319ull);
 }
 
 TEST(BlockingQualityTest, StreamMatchesOneShotEvaluation) {
