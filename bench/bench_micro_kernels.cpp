@@ -810,7 +810,6 @@ const lm::PretrainedLM& ServeBenchLM() {
     config.max_seq_len = 96;
     lm::MlmOptions options;
     options.epochs = 1;
-    options.max_seq_len = 96;
     core::Rng rng(13);
     return lm::PretrainedLM::Pretrain(corpus, config, options,
                                       lm::RequiredPromptTokens(), &rng)

@@ -107,11 +107,7 @@ class ConcurrentCache {
   /// it first), the existing value wins and is returned — callers cache
   /// pure functions, so both are identical anyway.
   std::shared_ptr<const V> Insert(uint64_t key, V value) {
-    return InsertShared(key, std::make_shared<const V>(std::move(value)));
-  }
-
-  std::shared_ptr<const V> InsertShared(uint64_t key,
-                                        std::shared_ptr<const V> value) {
+    auto shared = std::make_shared<const V>(std::move(value));
     const uint64_t gen = generation_.load(std::memory_order_acquire);
     Shard& shard = ShardFor(key);
     std::lock_guard<std::mutex> lock(shard.mu);
@@ -121,7 +117,7 @@ class ConcurrentCache {
       if (slot.generation == gen) return slot.value;
       // Same key from a dead generation: replace in place.
       slot.generation = gen;
-      slot.value = std::move(value);
+      slot.value = std::move(shared);
       slot.referenced = true;
       return slot.value;
     }
@@ -129,7 +125,7 @@ class ConcurrentCache {
       shard.EvictOne(gen);
       evictions_.fetch_add(1, std::memory_order_relaxed);
     }
-    return shard.InsertNew(key, gen, std::move(value));
+    return shard.InsertNew(key, gen, std::move(shared));
   }
 
   /// Find-or-compute: `fn()` runs without any lock held (it is expensive

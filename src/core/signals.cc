@@ -3,19 +3,12 @@
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
-#include <atomic>
 #include <thread>
 #include <utility>
 
 #include <unistd.h>
 
 namespace promptem::core {
-
-namespace {
-
-std::atomic<bool> g_shutdown_requested{false};
-
-}  // namespace
 
 void IgnoreSigPipe() {
   struct sigaction action {};
@@ -44,7 +37,6 @@ void InstallShutdownHandler(std::function<void(int)> on_signal) {
   std::thread([set, handler = std::move(on_signal)] {
     int signo = 0;
     if (sigwait(&set, &signo) != 0) return;
-    g_shutdown_requested.store(true, std::memory_order_release);
     if (handler) handler(signo);
     // A second signal means "stop waiting for the drain": exit with the
     // conventional fatal-signal code immediately.
@@ -54,10 +46,6 @@ void InstallShutdownHandler(std::function<void(int)> on_signal) {
       _exit(128 + again);
     }
   }).detach();
-}
-
-bool ShutdownRequested() {
-  return g_shutdown_requested.load(std::memory_order_acquire);
 }
 
 }  // namespace promptem::core

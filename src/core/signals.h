@@ -26,11 +26,11 @@ void BlockShutdownSignals();
 /// signals in the calling thread and starts a dedicated watcher thread
 /// that sigwait()s for them — but only threads spawned after the mask
 /// was first applied are covered, so call BlockShutdownSignals() at
-/// startup and install the handler whenever the state it needs exists. The first delivery
-/// sets ShutdownRequested() and invokes `on_signal(signo)` from the
-/// watcher thread — a normal thread context, so the callback may take
-/// locks, write files (e.g. flush a cache through the atomic save path),
-/// or wake a poll loop. A second delivery _exit(128+sig)s immediately:
+/// startup and install the handler whenever the state it needs exists.
+/// The first delivery invokes `on_signal(signo)` from the watcher thread
+/// — a normal thread context, so the callback may take locks, write
+/// files (e.g. flush a cache through the atomic save path), or wake a
+/// poll loop. A second delivery _exit(128+sig)s immediately:
 /// one Ctrl-C drains, two force-quit.
 ///
 /// Because the signals are blocked rather than handled, in-flight
@@ -38,9 +38,6 @@ void BlockShutdownSignals();
 /// retry EINTR for every other signal (see serve/protocol.h's ReadFull /
 /// WriteFull).
 void InstallShutdownHandler(std::function<void(int)> on_signal);
-
-/// True once the first SIGINT/SIGTERM arrived.
-bool ShutdownRequested();
 
 }  // namespace promptem::core
 

@@ -9,6 +9,7 @@
 #include <string>
 #include <unordered_set>
 
+#include "core/hashing.h"
 #include "core/status.h"
 #include "core/thread_pool.h"
 #include "data/serializer.h"
@@ -36,15 +37,6 @@ uint64_t Fnv1a64(const char* data, size_t n, uint64_t hash = kFnvOffset) {
     hash *= kFnvPrime;
   }
   return hash;
-}
-
-/// splitmix64 finalizer: cheap, well-mixed derivation of the i-th hash
-/// function from a shingle's base hash.
-uint64_t Mix64(uint64_t x) {
-  x += 0x9E3779B97F4A7C15ULL;
-  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ULL;
-  x = (x ^ (x >> 27)) * 0x94D049BB133111EBULL;
-  return x ^ (x >> 31);
 }
 
 }  // namespace
@@ -132,6 +124,14 @@ size_t AllPairsBlocker::NextChunk(size_t max_pairs,
 // OverlapBlocker
 // ---------------------------------------------------------------------------
 
+namespace {
+
+/// Tokens appearing in more than this fraction of records carry no
+/// blocking signal and are dropped from the index.
+constexpr double kMaxTokenFrequency = 0.3;
+
+}  // namespace
+
 OverlapBlocker::OverlapBlocker(const std::vector<Record>& left_table,
                                const std::vector<Record>& right_table)
     : OverlapBlocker(left_table, right_table, Config()) {}
@@ -218,34 +218,28 @@ void OverlapBlocker::CandidatesForLeft(int left_index,
   const double n_docs =
       static_cast<double>(left_tokens_.size() + right_tokens_.size());
   const size_t stop_threshold = static_cast<size_t>(
-      std::max(1.0, config_.max_token_frequency * n_docs));
+      std::max(1.0, kMaxTokenFrequency * n_docs));
 
   // Sparse accumulation: only rights actually touched by a posting list
   // are tracked, so one left record costs O(candidate postings), not
   // O(right table) — the difference between 1M-row streaming and a dense
   // per-left scan.
-  std::map<int, std::pair<double, int>> hits;  // right -> (score, shared)
+  std::map<int, double> hits;  // right -> summed IDF of shared tokens
   for (int t : left_tokens_[static_cast<size_t>(left_index)]) {
     const auto& postings = right_index_[static_cast<size_t>(t)];
     if (postings.size() > stop_threshold) continue;  // stop token
-    for (int j : postings) {
-      auto& slot = hits[j];
-      slot.first += idf_[static_cast<size_t>(t)];
-      ++slot.second;
-    }
+    for (int j : postings) hits[j] += idf_[static_cast<size_t>(t)];
   }
   std::vector<int> order;
   order.reserve(hits.size());
-  for (const auto& [j, slot] : hits) {
-    if (slot.second >= config_.min_shared_tokens && slot.first > 0.0) {
-      order.push_back(j);
-    }
+  for (const auto& [j, score] : hits) {
+    if (score > 0.0) order.push_back(j);
   }
   // `hits` iterates right-index ascending, so the stable sort reproduces
   // the original dense scan's order exactly: score descending, right
   // index ascending on ties.
   std::stable_sort(order.begin(), order.end(), [&](int a, int b) {
-    return hits.find(a)->second.first > hits.find(b)->second.first;
+    return hits.find(a)->second > hits.find(b)->second;
   });
   if (static_cast<int>(order.size()) > config_.top_k) {
     order.resize(static_cast<size_t>(config_.top_k));
@@ -260,6 +254,25 @@ void OverlapBlocker::CandidatesForLeft(int left_index,
 // ---------------------------------------------------------------------------
 
 namespace {
+
+/// Signature length: kNumBands bands of kRowsPerBand rows each.
+constexpr int kNumHashes = 32;
+static_assert(kNumHashes % MinHashBlocker::kNumBands == 0,
+              "kNumHashes must be a multiple of kNumBands");
+constexpr int kRowsPerBand = kNumHashes / MinHashBlocker::kNumBands;
+/// Character shingle length (lowercased).
+constexpr size_t kShingleLen = 4;
+/// Hash-family seed.
+constexpr uint64_t kHashSeed = 0x5EEDB10CULL;
+/// Buckets holding more than this fraction of the right table carry no
+/// blocking signal — think shared schema boilerplate — and are skipped,
+/// like OverlapBlocker's stop tokens.
+constexpr double kMaxBucketFraction = 0.01;
+/// Absolute ceiling on the bucket cap (floor 16). Without it the cap
+/// grows linearly with the table, making probe cost quadratic at
+/// million-row scale; a true near-duplicate shares *rare* shingles, so
+/// skipping huge buckets costs almost no recall.
+constexpr size_t kMaxBucketCap = 2048;
 
 /// The text a record is shingled over: attribute values only (plus the
 /// free text of textual records). The [COL]/[VAL] tags and attribute
@@ -278,34 +291,31 @@ std::string ShingleText(const Record& record) {
 
 }  // namespace
 
-std::vector<uint64_t> MinHashBlocker::BandKeys(const Record& record) const {
-  const int hashes = config_.num_hashes;
-  const int bands = config_.num_bands;
-  const int rows = hashes / bands;
-  std::vector<uint64_t> sig(static_cast<size_t>(hashes), ~0ULL);
+std::vector<uint64_t> MinHashBlocker::BandKeys(const Record& record) {
+  std::vector<uint64_t> sig(static_cast<size_t>(kNumHashes), ~0ULL);
 
   std::string text = ShingleText(record);
   for (char& c : text) {
     if (c >= 'A' && c <= 'Z') c = static_cast<char>(c - 'A' + 'a');
   }
   const size_t len = text.size();
-  const size_t k = static_cast<size_t>(config_.shingle_len);
+  const size_t k = kShingleLen;
   const size_t n_shingles = len >= k ? len - k + 1 : (len > 0 ? 1 : 0);
   for (size_t s = 0; s < n_shingles; ++s) {
     const uint64_t base =
-        Fnv1a64(text.data() + s, std::min(k, len - s)) ^ config_.seed;
-    for (int h = 0; h < hashes; ++h) {
-      const uint64_t v = Mix64(base + 0x9E3779B97F4A7C15ULL *
-                                          static_cast<uint64_t>(h + 1));
+        Fnv1a64(text.data() + s, std::min(k, len - s)) ^ kHashSeed;
+    for (int h = 0; h < kNumHashes; ++h) {
+      const uint64_t v = core::Mix64(
+          base + 0x9E3779B97F4A7C15ULL * static_cast<uint64_t>(h + 1));
       if (v < sig[static_cast<size_t>(h)]) sig[static_cast<size_t>(h)] = v;
     }
   }
 
-  std::vector<uint64_t> keys(static_cast<size_t>(bands));
-  for (int b = 0; b < bands; ++b) {
+  std::vector<uint64_t> keys(static_cast<size_t>(kNumBands));
+  for (int b = 0; b < kNumBands; ++b) {
     uint64_t key = kFnvOffset ^ static_cast<uint64_t>(b);
-    for (int r = 0; r < rows; ++r) {
-      const uint64_t v = sig[static_cast<size_t>(b * rows + r)];
+    for (int r = 0; r < kRowsPerBand; ++r) {
+      const uint64_t v = sig[static_cast<size_t>(b * kRowsPerBand + r)];
       key = Fnv1a64(reinterpret_cast<const char*>(&v), sizeof(v), key);
     }
     keys[static_cast<size_t>(b)] = key;
@@ -321,25 +331,20 @@ MinHashBlocker::MinHashBlocker(const std::vector<Record>& left_table,
                                const std::vector<Record>& right_table,
                                const Config& config)
     : config_(config), left_table_(&left_table) {
-  PROMPTEM_CHECK_MSG(config_.num_bands >= 1 &&
-                         config_.num_hashes % config_.num_bands == 0,
-                     "num_hashes must be a positive multiple of num_bands");
-  PROMPTEM_CHECK(config_.shingle_len >= 1);
   right_size_ = right_table.size();
   bucket_cap_ = std::clamp<size_t>(
-      static_cast<size_t>(config_.max_bucket_fraction *
+      static_cast<size_t>(kMaxBucketFraction *
                           static_cast<double>(right_size_)),
-      16, std::max<size_t>(16, config_.max_bucket_cap));
+      16, kMaxBucketCap);
 
-  const int bands = config_.num_bands;
   // Right-side band keys, computed across the pool (per-record
   // independent, so deterministic), stored as one flat band-major array...
-  std::vector<uint64_t> flat(static_cast<size_t>(bands) * right_size_);
+  std::vector<uint64_t> flat(static_cast<size_t>(kNumBands) * right_size_);
   core::ParallelFor(0, static_cast<int64_t>(right_size_), kLeftGrain,
                     [&](int64_t begin, int64_t end) {
                       for (int64_t j = begin; j < end; ++j) {
                         const auto keys = BandKeys(right_table[static_cast<size_t>(j)]);
-                        for (int b = 0; b < bands; ++b) {
+                        for (int b = 0; b < kNumBands; ++b) {
                           flat[static_cast<size_t>(b) * right_size_ +
                                static_cast<size_t>(j)] =
                               keys[static_cast<size_t>(b)];
@@ -354,9 +359,9 @@ MinHashBlocker::MinHashBlocker(const std::vector<Record>& left_table,
     // Legacy backend: sorted (key, right) arrays probed with
     // equal_range. Bands are independent, so the sorts run across the
     // pool.
-    band_keys_.assign(static_cast<size_t>(bands), {});
-    band_rights_.assign(static_cast<size_t>(bands), {});
-    core::ParallelFor(0, bands, 1, [&](int64_t begin, int64_t end) {
+    band_keys_.assign(static_cast<size_t>(kNumBands), {});
+    band_rights_.assign(static_cast<size_t>(kNumBands), {});
+    core::ParallelFor(0, kNumBands, 1, [&](int64_t begin, int64_t end) {
       for (int64_t b = begin; b < end; ++b) {
         const uint64_t* keys =
             flat.data() + static_cast<size_t>(b) * right_size_;
@@ -401,7 +406,7 @@ MinHashBlocker::MinHashBlocker(const std::vector<Record>& left_table,
                        "kHashIndexMmap requires Config::index_dir");
     ::mkdir(config_.index_dir.c_str(), 0755);  // EEXIST is fine
   }
-  band_index_.resize(static_cast<size_t>(bands));
+  band_index_.resize(static_cast<size_t>(kNumBands));
   auto build_band = [&](int64_t b) {
     core::HashIndex::Options options;
     options.backend = mmap_backed ? core::HashIndex::Backend::kMmap
@@ -434,13 +439,13 @@ MinHashBlocker::MinHashBlocker(const std::vector<Record>& left_table,
   if (mmap_backed) {
     // One band's staging at a time: the sealed bytes land in the band
     // file, so peak heap stays O(right), not O(bands * right).
-    for (int64_t b = 0; b < bands; ++b) build_band(b);
+    for (int64_t b = 0; b < kNumBands; ++b) build_band(b);
   } else {
-    core::ParallelFor(0, bands, 1, [&](int64_t begin, int64_t end) {
+    core::ParallelFor(0, kNumBands, 1, [&](int64_t begin, int64_t end) {
       for (int64_t b = begin; b < end; ++b) build_band(b);
     });
   }
-  band_snap_.reserve(static_cast<size_t>(bands));
+  band_snap_.reserve(static_cast<size_t>(kNumBands));
   for (const auto& index : band_index_) {
     band_snap_.push_back(index->snapshot());
     band_snap_.back().ForEach(
@@ -480,7 +485,7 @@ void MinHashBlocker::CandidatesForLeft(int left_index,
   const auto keys = BandKeys((*left_table_)[static_cast<size_t>(left_index)]);
   const bool legacy = config_.index_backend == IndexBackend::kSortedArray;
   std::vector<int32_t> hits;
-  for (int b = 0; b < config_.num_bands; ++b) {
+  for (int b = 0; b < kNumBands; ++b) {
     if (legacy) {
       const auto& bk = band_keys_[static_cast<size_t>(b)];
       const auto& br = band_rights_[static_cast<size_t>(b)];
@@ -517,10 +522,7 @@ void MinHashBlocker::CandidatesForLeft(int left_index,
   for (size_t i = 0; i < hits.size();) {
     size_t j = i;
     while (j < hits.size() && hits[j] == hits[i]) ++j;
-    const int count = static_cast<int>(j - i);
-    if (count >= config_.min_band_matches) {
-      counted.emplace_back(hits[i], count);
-    }
+    counted.emplace_back(hits[i], static_cast<int>(j - i));
     i = j;
   }
   std::stable_sort(counted.begin(), counted.end(),
@@ -544,9 +546,9 @@ namespace {
 
 struct PairHash {
   size_t operator()(const std::pair<int, int>& p) const {
-    return static_cast<size_t>(
-        Mix64((static_cast<uint64_t>(static_cast<uint32_t>(p.first)) << 32) |
-              static_cast<uint32_t>(p.second)));
+    return static_cast<size_t>(core::Mix64(
+        (static_cast<uint64_t>(static_cast<uint32_t>(p.first)) << 32) |
+        static_cast<uint32_t>(p.second)));
   }
 };
 

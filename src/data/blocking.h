@@ -112,11 +112,7 @@ class AllPairsBlocker : public Blocker {
 class OverlapBlocker : public LeftStreamBlocker {
  public:
   struct Config {
-    int top_k = 10;            ///< candidates kept per left record
-    int min_shared_tokens = 1;  ///< ignore pairs sharing fewer tokens
-    /// Tokens appearing in more than this fraction of records carry no
-    /// blocking signal and are dropped from the index.
-    double max_token_frequency = 0.3;
+    int top_k = 10;  ///< candidates kept per left record
   };
 
   OverlapBlocker(const std::vector<Record>& left_table,
@@ -158,7 +154,7 @@ class OverlapBlocker : public LeftStreamBlocker {
 /// bands (ties broken by right index) and the top-k kept — the same
 /// shape OverlapBlocker emits. Signature computation runs over
 /// core::ParallelFor; only per-band keys are stored (sorted key -> right
-/// arrays), so the index is O(num_bands * right) with no per-record
+/// arrays), so the index is O(kNumBands * right) with no per-record
 /// signature retained.
 class MinHashBlocker : public LeftStreamBlocker {
  public:
@@ -173,22 +169,12 @@ class MinHashBlocker : public LeftStreamBlocker {
     kHashIndexMmap,  ///< core::HashIndex postings, mmap files in index_dir
   };
 
+  /// Signature bands (2 rows of the 32-hash signature each); one index
+  /// table per band.
+  static constexpr int kNumBands = 16;
+
   struct Config {
-    int num_hashes = 32;   ///< signature length = num_bands * rows/band
-    int num_bands = 16;    ///< bands of num_hashes / num_bands rows each
-    int shingle_len = 4;   ///< character shingle length (lowercased)
-    int top_k = 10;        ///< candidates kept per left record
-    int min_band_matches = 1;  ///< require at least this many shared bands
-    /// Buckets holding more than this fraction of the right table carry
-    /// no blocking signal — think shared schema boilerplate — and are
-    /// skipped, like OverlapBlocker's stop tokens.
-    double max_bucket_fraction = 0.01;
-    /// Absolute ceiling on the bucket cap (floor 16). Without it the cap
-    /// grows linearly with the table, making probe cost quadratic at
-    /// million-row scale; a true near-duplicate shares *rare* shingles,
-    /// so skipping huge buckets costs almost no recall.
-    size_t max_bucket_cap = 2048;
-    uint64_t seed = 0x5EEDB10CULL;  ///< hash-family seed
+    int top_k = 10;  ///< candidates kept per left record
     IndexBackend index_backend = IndexBackend::kHashIndexRam;
     /// Directory holding the per-band index files ("band_<b>.phx") for
     /// kHashIndexMmap (created if missing; ignored otherwise). The files
@@ -219,9 +205,6 @@ class MinHashBlocker : public LeftStreamBlocker {
   size_t left_size() const override { return left_table_->size(); }
   size_t right_size() const override { return right_size_; }
 
-  /// Band keys of one record (exposed for tests / diagnostics).
-  std::vector<uint64_t> BandKeys(const Record& record) const;
-
   /// Index memory/eviction counters (capped_probes accumulates as the
   /// stream is drained).
   IndexStats index_stats() const;
@@ -231,6 +214,9 @@ class MinHashBlocker : public LeftStreamBlocker {
                          std::vector<PairExample>* out) const override;
 
  private:
+  /// Band keys of one record.
+  static std::vector<uint64_t> BandKeys(const Record& record);
+
   Config config_;
   const std::vector<Record>* left_table_;  // not owned; must outlive this
   size_t right_size_ = 0;

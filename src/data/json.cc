@@ -10,6 +10,11 @@ namespace promptem::data {
 
 namespace {
 
+/// Deepest array/object nesting accepted. Far above any record, request
+/// or run-log line, and low enough that the recursive descent cannot
+/// exhaust a thread's stack on hostile input.
+constexpr int kMaxDepth = 256;
+
 /// Recursive-descent JSON parser over a string_view cursor.
 class JsonParser {
  public:
@@ -61,9 +66,15 @@ class JsonParser {
     const char c = text_[pos_];
     switch (c) {
       case '{':
-        return ParseObject();
-      case '[':
-        return ParseArray();
+      case '[': {
+        if (depth_ == kMaxDepth) {
+          return Error(core::StrFormat("nesting deeper than %d", kMaxDepth));
+        }
+        ++depth_;
+        core::Result<Value> nested = c == '{' ? ParseObject() : ParseArray();
+        --depth_;
+        return nested;
+      }
       case '"': {
         core::Result<std::string> s = ParseString();
         if (!s.ok()) return s.status();
@@ -278,6 +289,7 @@ class JsonParser {
 
   std::string_view text_;
   size_t pos_ = 0;
+  int depth_ = 0;  // open arrays/objects enclosing the cursor
 };
 
 void EscapeInto(const std::string& s, std::string* out) {

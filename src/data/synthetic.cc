@@ -4,6 +4,7 @@
 #include <cmath>
 #include <utility>
 
+#include "core/hashing.h"
 #include "core/rng.h"
 #include "core/status.h"
 #include "core/thread_pool.h"
@@ -14,15 +15,12 @@ namespace {
 
 constexpr int64_t kGenGrain = 512;
 
-/// splitmix64 finalizer for deriving per-record seeds from (seed, index):
-/// record content must depend only on these two values so generation can
-/// shard across the pool without an order-dependent rng stream.
-uint64_t Mix64(uint64_t x) {
-  x += 0x9E3779B97F4A7C15ULL;
-  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ULL;
-  x = (x ^ (x >> 27)) * 0x94D049BB133111EBULL;
-  return x ^ (x >> 31);
-}
+/// Extra unmatched right records, as a fraction of `rows`.
+constexpr double kDistractorFraction = 0.1;
+/// Per-corruption probability applied to each right-side copy: keeps
+/// character-shingle Jaccard high enough for LSH blocking while being
+/// visibly dirty.
+constexpr double kPerturbation = 0.25;
 
 const char* const kAdjectives[] = {
     "compact", "digital", "classic", "premium", "wireless", "portable",
@@ -60,8 +58,10 @@ std::string Base36Code(core::Rng* rng, int len) {
   return code;
 }
 
+/// Record content depends only on (seed, index), so generation shards
+/// across the pool without an order-dependent rng stream.
 Record MakeLeftRecord(uint64_t seed, size_t index) {
-  core::Rng rng(Mix64(seed ^ Mix64(index)));
+  core::Rng rng(core::Mix64(seed ^ core::Mix64(index)));
   std::string name = std::string(Pick(kAdjectives, &rng)) + " " +
                      Pick(kNouns, &rng);
   const std::string brand = Pick(kBrands, &rng);
@@ -85,9 +85,11 @@ void TypoTranspose(std::string* s, core::Rng* rng) {
 }
 
 /// Dirty copy of one left record: each corruption fires independently
-/// with probability `p`, drawn from the pair's own seeded stream.
-Record Perturb(const Record& source, double p, uint64_t seed, size_t index) {
-  core::Rng rng(Mix64(seed ^ Mix64(index) ^ 0xD1A7ULL));
+/// with probability kPerturbation, drawn from the pair's own seeded
+/// stream.
+Record Perturb(const Record& source, uint64_t seed, size_t index) {
+  constexpr double p = kPerturbation;
+  core::Rng rng(core::Mix64(seed ^ core::Mix64(index) ^ 0xD1A7ULL));
   auto attrs = source.attrs;
   for (auto& [attr, value] : attrs) {
     if (attr == "name" && value.is_string()) {
@@ -126,12 +128,10 @@ Record Perturb(const Record& source, double p, uint64_t seed, size_t index) {
 
 SyntheticTables GenerateSyntheticTables(const SyntheticTableOptions& options) {
   PROMPTEM_CHECK(options.rows >= 1);
-  PROMPTEM_CHECK(options.distractor_fraction >= 0.0);
-  PROMPTEM_CHECK(options.perturbation >= 0.0 && options.perturbation <= 1.0);
 
   const size_t rows = options.rows;
   const size_t distractors =
-      static_cast<size_t>(options.distractor_fraction *
+      static_cast<size_t>(kDistractorFraction *
                           static_cast<double>(rows));
   const size_t right_rows = rows + distractors;
 
@@ -150,7 +150,7 @@ SyntheticTables GenerateSyntheticTables(const SyntheticTableOptions& options) {
   // perm[i]; distractor slots are the tail of the shuffled positions.
   std::vector<int> positions(right_rows);
   for (size_t j = 0; j < right_rows; ++j) positions[j] = static_cast<int>(j);
-  core::Rng perm_rng(Mix64(options.seed ^ 0x9E37ULL));
+  core::Rng perm_rng(core::Mix64(options.seed ^ 0x9E37ULL));
   perm_rng.Shuffle(&positions);
 
   tables.right.resize(right_rows);
@@ -169,7 +169,7 @@ SyntheticTables GenerateSyntheticTables(const SyntheticTableOptions& options) {
           const int li = tables.left_of_right[jj];
           tables.right[jj] =
               li >= 0 ? Perturb(tables.left[static_cast<size_t>(li)],
-                                options.perturbation, options.seed, jj)
+                                options.seed, jj)
                       // Distractors draw from the same pools but a
                       // disjoint seed stream, so they are plausible
                       // near-misses rather than obvious noise.
@@ -200,7 +200,7 @@ GemDataset SyntheticTables::ToDataset(size_t pairs_per_split, uint64_t seed) {
   dataset.domain = "synthetic";
   dataset.default_rate = 0.10;
 
-  core::Rng rng(Mix64(seed ^ 0x5A17ULL));
+  core::Rng rng(core::Mix64(seed ^ 0x5A17ULL));
   auto sample_split = [&](std::vector<PairExample>* split) {
     for (size_t k = 0; k < pairs_per_split; ++k) {
       const int l = static_cast<int>(rng.NextU64(rows));

@@ -16,19 +16,13 @@ namespace promptem::data {
 ///
 /// Every left record gets exactly one perturbed copy in the right table
 /// (typos, dropped attributes, price jitter — dirty-EM style noise), at a
-/// position given by a seeded permutation; an optional fraction of
-/// distractor records with no left match is mixed in. Generation is
+/// position given by a seeded permutation; distractor records with no
+/// left match, 10% of `rows`, are mixed in. Generation is
 /// per-record seeded (record i's content depends only on (seed, i)), so
 /// it parallelizes over core::ParallelFor and is bitwise reproducible at
 /// any pool size.
 struct SyntheticTableOptions {
   size_t rows = 10000;  ///< left-table size; each row has one right match
-  /// Extra unmatched right records, as a fraction of `rows`.
-  double distractor_fraction = 0.1;
-  /// Per-corruption probability applied to each right-side copy. 0 makes
-  /// exact duplicates; the 0.25 default keeps character-shingle Jaccard
-  /// high enough for LSH blocking while being visibly dirty.
-  double perturbation = 0.25;
   uint64_t seed = 42;
 };
 

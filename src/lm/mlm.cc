@@ -2,7 +2,7 @@
 
 #include <algorithm>
 
-#include "core/log.h"
+#include "core/status.h"
 #include "tensor/ops.h"
 #include "text/tokenizer.h"
 #include "train/train_loop.h"
@@ -48,33 +48,8 @@ MlmInstance MaskTokens(const std::vector<int>& ids, int vocab_size,
 
 namespace {
 
-/// Periodic in-epoch progress lines ("mlm epoch 1 step 200 loss ..."),
-/// reconstructed from per-step batch events.
-class MlmProgressLogger final : public train::TrainObserver {
- public:
-  explicit MlmProgressLogger(int log_every) : log_every_(log_every) {}
-
-  void OnEpochBegin(int epoch) override {
-    epoch_ = epoch;
-    steps_ = 0;
-    total_loss_ = 0.0;
-  }
-
-  void OnBatchEnd(const train::BatchStats& stats) override {
-    total_loss_ += stats.batch_loss;
-    ++steps_;
-    if (log_every_ > 0 && steps_ % log_every_ == 0) {
-      PROMPTEM_LOG(Info) << "mlm epoch " << epoch_ << " step " << steps_
-                         << " loss " << total_loss_ / steps_;
-    }
-  }
-
- private:
-  int log_every_;
-  int epoch_ = 0;
-  int64_t steps_ = 0;
-  double total_loss_ = 0.0;
-};
+/// Share of eligible tokens selected for corruption (BERT's 15%).
+constexpr float kMaskProb = 0.15f;
 
 }  // namespace
 
@@ -85,21 +60,22 @@ std::vector<float> PretrainMlm(nn::TransformerEncoder* encoder,
   PROMPTEM_CHECK(encoder != nullptr);
 
   // Pre-encode all documents once.
+  const int max_seq_len = encoder->config().max_seq_len;
   std::vector<std::vector<int>> encoded;
   encoded.reserve(corpus.documents.size());
   for (const auto& doc : corpus.documents) {
     std::vector<int> ids = text::TokensToIds(vocab, doc);
-    if (static_cast<int>(ids.size()) > options.max_seq_len) {
-      ids.resize(static_cast<size_t>(options.max_seq_len));
+    if (static_cast<int>(ids.size()) > max_seq_len) {
+      ids.resize(static_cast<size_t>(max_seq_len));
     }
     if (!ids.empty()) encoded.push_back(std::move(ids));
   }
   PROMPTEM_CHECK_MSG(!encoded.empty(), "empty pre-training corpus");
 
-  MlmProgressLogger progress(options.log_every);
-  train::ObserverList observers;
-  observers.Add(&progress);
-  observers.Add(options.observer);
+  std::vector<int> always_mask_ids;
+  for (const auto& word : options.always_mask_words) {
+    if (vocab.Contains(word)) always_mask_ids.push_back(vocab.ToId(word));
+  }
 
   train::LoopOptions loop_options;
   loop_options.epochs = options.epochs;
@@ -108,23 +84,21 @@ std::vector<float> PretrainMlm(nn::TransformerEncoder* encoder,
   loop_options.batch_size = 1;
   loop_options.lr = options.lr;
   loop_options.rng = rng;
-  loop_options.observer = &observers;
+  loop_options.observer = options.observer;
   loop_options.run_name = "mlm";
 
   train::TrainLoop loop(encoder, loop_options);
   loop.OnSequentialStep(
       [&](size_t idx, core::Rng* step_rng)
           -> std::optional<tensor::Tensor> {
-        MlmInstance inst = MaskTokens(encoded[idx], vocab.size(),
-                                      options.mask_prob, step_rng);
-        if (!options.always_mask_ids.empty()) {
-          for (size_t i = 0; i < encoded[idx].size(); ++i) {
-            const int original = encoded[idx][i];
-            for (int forced : options.always_mask_ids) {
-              if (original == forced) {
-                inst.targets[i] = original;
-                inst.input_ids[i] = SpecialTokens::kMask;
-              }
+        MlmInstance inst =
+            MaskTokens(encoded[idx], vocab.size(), kMaskProb, step_rng);
+        for (size_t i = 0; i < encoded[idx].size(); ++i) {
+          const int original = encoded[idx][i];
+          for (int forced : always_mask_ids) {
+            if (original == forced) {
+              inst.targets[i] = original;
+              inst.input_ids[i] = SpecialTokens::kMask;
             }
           }
         }

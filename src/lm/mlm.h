@@ -1,6 +1,7 @@
 #ifndef PROMPTEM_LM_MLM_H_
 #define PROMPTEM_LM_MLM_H_
 
+#include <string>
 #include <vector>
 
 #include "lm/corpus.h"
@@ -10,18 +11,14 @@
 namespace promptem::lm {
 
 /// Masked-LM pre-training options (BERT-style 15% selection with 80/10/10
-/// mask/random/keep corruption).
+/// mask/random/keep corruption). Documents are truncated to the
+/// encoder's max_seq_len.
 struct MlmOptions {
   int epochs = 3;
-  float mask_prob = 0.15f;
   float lr = 1e-3f;
-  int max_seq_len = 64;
-  int log_every = 0;  ///< 0 disables progress logging
-  /// Token ids that are always masked when present (the verbalizer's
-  /// label words, so every cloze document trains the label-word mapping).
-  std::vector<int> always_mask_ids;
-  /// Same, by surface form — resolved against the vocabulary by
-  /// PretrainedLM::Pretrain (which builds the vocab) into always_mask_ids.
+  /// Words that are always masked when present (the verbalizer's label
+  /// words, so every cloze document trains the label-word mapping).
+  /// Words missing from the vocabulary are ignored.
   std::vector<std::string> always_mask_words;
   /// Receives the pre-training loop's events (not owned; may be null).
   train::TrainObserver* observer = nullptr;

@@ -3,7 +3,6 @@
 #include <sys/stat.h>
 
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 
 #include "core/string_util.h"
@@ -23,14 +22,8 @@ std::unique_ptr<PretrainedLM> PretrainedLM::Pretrain(
   config.vocab_size = lm->vocab_.size();
   lm->config_ = config;
   lm->encoder_ = std::make_unique<nn::TransformerEncoder>(config, rng);
-  MlmOptions resolved = options;
-  for (const auto& word : options.always_mask_words) {
-    if (lm->vocab_.Contains(word)) {
-      resolved.always_mask_ids.push_back(lm->vocab_.ToId(word));
-    }
-  }
   lm->pretrain_losses_ =
-      PretrainMlm(lm->encoder_.get(), corpus, lm->vocab_, resolved, rng);
+      PretrainMlm(lm->encoder_.get(), corpus, lm->vocab_, options, rng);
   return lm;
 }
 
@@ -172,10 +165,6 @@ std::unique_ptr<PretrainedLM> GetOrCreateSharedLM(
   config.max_seq_len = 96;
   MlmOptions options;
   options.epochs = 4;
-  if (const char* env = std::getenv("PROMPTEM_LM_EPOCHS")) {
-    options.epochs = std::max(1, std::atoi(env));
-  }
-  options.max_seq_len = 96;
   options.always_mask_words = {"matched",    "similar",   "relevant",
                                "mismatched", "different", "irrelevant"};
   auto lm = PretrainedLM::Pretrain(corpus, config, options,

@@ -6,6 +6,14 @@
 
 namespace promptem::nn {
 
+namespace {
+
+constexpr float kBeta1 = 0.9f;
+constexpr float kBeta2 = 0.999f;
+constexpr float kEps = 1e-8f;
+
+}  // namespace
+
 AdamW::AdamW(std::vector<tensor::Tensor> params, AdamWConfig config)
     : params_(std::move(params)), config_(config) {
   m_.reserve(params_.size());
@@ -37,9 +45,9 @@ void AdamW::Step() {
   }
 
   const float bias1 =
-      1.0f - std::pow(config_.beta1, static_cast<float>(step_count_));
+      1.0f - std::pow(kBeta1, static_cast<float>(step_count_));
   const float bias2 =
-      1.0f - std::pow(config_.beta2, static_cast<float>(step_count_));
+      1.0f - std::pow(kBeta2, static_cast<float>(step_count_));
 
   for (size_t pi = 0; pi < params_.size(); ++pi) {
     tensor::Tensor& p = params_[pi];
@@ -50,12 +58,12 @@ void AdamW::Step() {
     std::vector<float>& v = v_[pi];
     for (int64_t i = 0; i < p.numel(); ++i) {
       const float gi = g[i] * clip_scale;
-      m[i] = config_.beta1 * m[i] + (1.0f - config_.beta1) * gi;
-      v[i] = config_.beta2 * v[i] + (1.0f - config_.beta2) * gi * gi;
+      m[i] = kBeta1 * m[i] + (1.0f - kBeta1) * gi;
+      v[i] = kBeta2 * v[i] + (1.0f - kBeta2) * gi * gi;
       const float mhat = m[i] / bias1;
       const float vhat = v[i] / bias2;
       w[i] -= config_.lr *
-              (mhat / (std::sqrt(vhat) + config_.eps) +
+              (mhat / (std::sqrt(vhat) + kEps) +
                config_.weight_decay * w[i]);
     }
   }

@@ -8,12 +8,10 @@
 namespace promptem::nn {
 
 /// AdamW configuration (paper defaults: lr 2e-5 for the LM; heads use
-/// larger rates).
+/// larger rates). The moment decays and epsilon are the standard Adam
+/// constants (beta1 0.9, beta2 0.999, eps 1e-8).
 struct AdamWConfig {
   float lr = 2e-5f;
-  float beta1 = 0.9f;
-  float beta2 = 0.999f;
-  float eps = 1e-8f;
   float weight_decay = 0.01f;
   /// Clips the global gradient norm before the step; <= 0 disables.
   float max_grad_norm = 1.0f;

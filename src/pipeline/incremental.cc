@@ -8,6 +8,9 @@ namespace promptem::em {
 
 namespace {
 
+/// Bound on cached pair scores.
+constexpr size_t kScoreCacheCapacity = size_t{1} << 20;
+
 /// Drops candidates touching tombstoned records from an inner blocker's
 /// stream. Passing chunks through a filter preserves the stream's
 /// deterministic order (it only removes elements), so the pipeline's
@@ -66,7 +69,7 @@ IncrementalMatcher::IncrementalMatcher(data::GemDataset dataset,
       right_version_(dataset_.right_table.size(), 0),
       left_deleted_(dataset_.left_table.size(), false),
       right_deleted_(dataset_.right_table.size(), false),
-      score_cache_(config_.score_cache_capacity) {
+      score_cache_(kScoreCacheCapacity) {
   PROMPTEM_CHECK(scorer != nullptr);
   PROMPTEM_CHECK(blocker_factory_ != nullptr);
   // The matcher mutates its tables in place; a private identity keeps its

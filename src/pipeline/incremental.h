@@ -74,8 +74,6 @@ class IncrementalMatcher {
 
   struct Config {
     MatchPipelineConfig pipeline;
-    /// Bound on cached pair scores; eviction only costs re-scoring.
-    size_t score_cache_capacity = 1u << 20;
     /// When set, upserts/deletes also drop the encoder's token memo for
     /// the changed record (pass the encoder the scorer uses).
     const PairEncoder* encoder = nullptr;
@@ -129,6 +127,7 @@ class IncrementalMatcher {
   std::vector<uint64_t> right_version_;
   std::vector<bool> left_deleted_;
   std::vector<bool> right_deleted_;
+  /// Holds up to 2^20 pair scores; eviction only costs re-scoring.
   core::ConcurrentCache<ProbPair> score_cache_;
   DeltaStats last_stats_;
 };

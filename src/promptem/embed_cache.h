@@ -40,9 +40,6 @@ class EmbeddingCache {
   std::shared_ptr<const std::vector<float>> Find(uint64_t key);
   void Insert(uint64_t key, std::vector<float> embedding);
 
-  /// Drops every entry (O(1), lazy reclamation).
-  void Invalidate() { cache_.Invalidate(); }
-
   core::ConcurrentCache<std::vector<float>>::Stats stats() const {
     return cache_.stats();
   }

@@ -48,18 +48,6 @@ std::vector<ProbPair> ScoreBatch(PairClassifier* model,
                       });
 }
 
-std::vector<ProbPair> ScoreBatchStochastic(
-    PairClassifier* model, const std::vector<EncodedPair>& xs,
-    const std::vector<uint64_t>& seeds) {
-  PROMPTEM_CHECK(seeds.size() == xs.size());
-  ScopedTrainingMode training(model->AsModule());
-  return ScoreIndexed(static_cast<int64_t>(xs.size()),
-                      [&](int64_t i, core::Rng* rng) {
-                        return model->Probs(xs[static_cast<size_t>(i)], rng);
-                      },
-                      seeds);
-}
-
 std::vector<int> LabelsFromProbs(const std::vector<ProbPair>& probs) {
   std::vector<int> labels(probs.size());
   for (size_t i = 0; i < probs.size(); ++i) {

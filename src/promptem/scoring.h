@@ -31,10 +31,10 @@ using ProbPair = std::array<float, 2>;
 /// explicit seeds, so the output is bitwise identical for any
 /// PROMPTEM_NUM_THREADS.
 ///
-/// PairClassifier implementations plug in via ScoreBatch /
-/// ScoreBatchStochastic; models with other shapes (e.g. TDmatch*'s
-/// graph-embedding head) adapt through ScoreIndexed; non-probability
-/// work (MC-Dropout estimates, pair embeddings) rides ForEachGraphFree.
+/// PairClassifier implementations plug in via ScoreBatch; models with
+/// other shapes (e.g. TDmatch*'s graph-embedding head) adapt through
+/// ScoreIndexed; non-probability work (MC-Dropout estimates, pair
+/// embeddings) rides ForEachGraphFree.
 
 /// RAII: forces training mode (dropout active) if it is not already on,
 /// restoring the previous mode on destruction. When the mode is already
@@ -76,12 +76,6 @@ std::vector<ProbPair> ScoreIndexed(int64_t n, const IndexedScoreFn& score_one,
 /// leaves it there, matching PredictLabels semantics).
 std::vector<ProbPair> ScoreBatch(PairClassifier* model,
                                  const std::vector<EncodedPair>& xs);
-
-/// Stochastic probabilities: dropout stays active (ScopedTrainingMode)
-/// and sample i draws its dropout pattern from Rng(seeds[i]).
-std::vector<ProbPair> ScoreBatchStochastic(PairClassifier* model,
-                                           const std::vector<EncodedPair>& xs,
-                                           const std::vector<uint64_t>& seeds);
 
 /// Threshold 0.5 on P(yes) — the decision rule used everywhere.
 std::vector<int> LabelsFromProbs(const std::vector<ProbPair>& probs);

@@ -199,7 +199,10 @@ void ServeDaemon::HandlePayload(const std::shared_ptr<Connection>& conn,
   if (request.op == RequestOp::kInfo) {
     // Metadata is immutable after TrainAll — answered inline, never
     // queued behind scoring work.
-    WriteResponse(conn, service_->Score(request));
+    MatchResponse response;
+    response.id = request.id;
+    response.info = service_->InfoJson();
+    WriteResponse(conn, response);
     return;
   }
   const uint64_t id = request.id;

@@ -161,25 +161,13 @@ std::vector<std::array<float, 2>> MatchService::ScoreCached(
 }
 
 MatchResponse MatchService::Score(const MatchRequest& request) {
-  if (request.op == RequestOp::kInfo) {
-    MatchResponse response;
-    response.id = request.id;
-    response.status = ResponseStatus::kOk;
-    response.info = InfoJson();
-    return response;
-  }
-  Entry* entry = nullptr;
   MatchResponse response;
-  if (!ValidateRequest(request, &entry, &response)) return response;
-  response.id = request.id;
-  response.status = ResponseStatus::kOk;
-  response.probs = ScoreCached(entry, request.pairs);
-  response.labels.reserve(response.probs.size());
-  for (const auto& p : response.probs) {
-    response.labels.push_back(p[1] >= p[0] ? 1 : 0);
-  }
-  response.batch_size = request.pairs.size();
-  requests_.fetch_add(1, std::memory_order_relaxed);
+  std::vector<PendingRequest> batch(1);
+  batch[0].request = request;
+  batch[0].complete = [&response](MatchResponse done) {
+    response = std::move(done);
+  };
+  HandleBatch(std::move(batch));
   return response;
 }
 

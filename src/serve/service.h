@@ -31,8 +31,8 @@ namespace promptem::serve {
 /// one-shot path (serve_test pins this).
 ///
 /// Thread model: Score/HandleBatch must be called from one scorer thread
-/// at a time (matcher models are not concurrently re-entrant); stats and
-/// the score cache are safe to read from anywhere.
+/// at a time (matcher models are not concurrently re-entrant); stats,
+/// InfoJson and the score cache are safe to read from anywhere.
 class MatchService {
  public:
   struct Config {
@@ -76,9 +76,8 @@ class MatchService {
   /// Fails fast on an unknown name — before training anything.
   core::Status TrainAll(train::TrainObserver* observer = nullptr);
 
-  /// Resolves one request synchronously (validation + scoring). The
-  /// response carries batch_size = this request's own pair count; the
-  /// batched entry point below reports the real coalesced width.
+  /// Resolves one request synchronously as a one-request HandleBatch, so
+  /// batch_size is this request's own pair count.
   MatchResponse Score(const MatchRequest& request);
 
   /// Resolves a coalesced batch: expired requests complete with

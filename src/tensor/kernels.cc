@@ -679,16 +679,4 @@ void AxpyOne(const float* x, float* y, int64_t n) {
   for (int64_t i = 0; i < n; ++i) y[i] += x[i];
 }
 
-float Dot(const float* a, const float* b, int64_t n) {
-  float acc = 0.0f;
-  for (int64_t i = 0; i < n; ++i) acc += a[i] * b[i];
-  return acc;
-}
-
-float L2Norm(const float* x, int64_t n) {
-  float acc = 0.0f;
-  for (int64_t i = 0; i < n; ++i) acc += x[i] * x[i];
-  return std::sqrt(acc);
-}
-
 }  // namespace promptem::tensor::kernels

@@ -131,12 +131,6 @@ void GeluBackward(const float* x, const float* dout, float* dx, int64_t n);
 /// y += x for n elements.
 void AxpyOne(const float* x, float* y, int64_t n);
 
-/// Dot product of two length-n vectors.
-float Dot(const float* a, const float* b, int64_t n);
-
-/// Euclidean (L2) norm of a length-n vector.
-float L2Norm(const float* x, int64_t n);
-
 }  // namespace promptem::tensor::kernels
 
 #endif  // PROMPTEM_TENSOR_KERNELS_H_

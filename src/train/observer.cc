@@ -7,47 +7,6 @@
 
 namespace promptem::train {
 
-void ObserverList::Add(TrainObserver* observer) {
-  if (observer != nullptr) observers_.push_back(observer);
-}
-
-void ObserverList::OnLoopBegin(const RunMeta& meta) {
-  for (auto* o : observers_) o->OnLoopBegin(meta);
-}
-
-void ObserverList::OnEpochBegin(int epoch) {
-  for (auto* o : observers_) o->OnEpochBegin(epoch);
-}
-
-void ObserverList::OnBatchEnd(const BatchStats& stats) {
-  for (auto* o : observers_) o->OnBatchEnd(stats);
-}
-
-void ObserverList::OnEvalEnd(const EvalStats& stats) {
-  for (auto* o : observers_) o->OnEvalEnd(stats);
-}
-
-void ObserverList::OnEpochEnd(const EpochStats& stats) {
-  for (auto* o : observers_) o->OnEpochEnd(stats);
-}
-
-void ObserverList::OnLoopEnd(const LoopResult& result) {
-  for (auto* o : observers_) o->OnLoopEnd(result);
-}
-
-void ConsoleObserver::OnLoopBegin(const RunMeta& meta) { meta_ = meta; }
-
-void ConsoleObserver::OnEpochEnd(const EpochStats& stats) {
-  std::string line = core::StrFormat(
-      "%s epoch %d/%d loss %.4f (%.0f ex/s)",
-      meta_.run_name.empty() ? "train" : meta_.run_name.c_str(),
-      stats.epoch, meta_.epochs, stats.avg_loss, stats.examples_per_sec);
-  if (stats.has_eval) {
-    line += " valid " + stats.eval.ToString();
-  }
-  PROMPTEM_LOG(Info) << line;
-}
-
 JsonlRunLogger::JsonlRunLogger(std::string path) : path_(std::move(path)) {
   file_ = std::fopen(path_.c_str(), "a");
   if (file_ == nullptr) {

@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <cstdio>
 #include <string>
-#include <vector>
 
 #include "promptem/metrics.h"
 
@@ -67,32 +66,6 @@ class TrainObserver {
   virtual void OnEvalEnd(const EvalStats& stats) { (void)stats; }
   virtual void OnEpochEnd(const EpochStats& stats) { (void)stats; }
   virtual void OnLoopEnd(const LoopResult& result) { (void)result; }
-};
-
-/// Fans every event out to a list of observers (not owned).
-class ObserverList : public TrainObserver {
- public:
-  void Add(TrainObserver* observer);
-
-  void OnLoopBegin(const RunMeta& meta) override;
-  void OnEpochBegin(int epoch) override;
-  void OnBatchEnd(const BatchStats& stats) override;
-  void OnEvalEnd(const EvalStats& stats) override;
-  void OnEpochEnd(const EpochStats& stats) override;
-  void OnLoopEnd(const LoopResult& result) override;
-
- private:
-  std::vector<TrainObserver*> observers_;
-};
-
-/// Human-readable per-epoch progress on stderr via the logging sink.
-class ConsoleObserver : public TrainObserver {
- public:
-  void OnLoopBegin(const RunMeta& meta) override;
-  void OnEpochEnd(const EpochStats& stats) override;
-
- private:
-  RunMeta meta_;
 };
 
 /// Appends one structured JSON record per epoch to a run-log file — the

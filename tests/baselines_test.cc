@@ -35,7 +35,6 @@ const lm::PretrainedLM& TinyLM() {
     config.max_seq_len = 96;
     lm::MlmOptions options;
     options.epochs = 1;
-    options.max_seq_len = 96;
     core::Rng rng(13);
     return lm::PretrainedLM::Pretrain(corpus, config, options,
                                       lm::RequiredPromptTokens(), &rng)

@@ -94,6 +94,15 @@ TEST(JsonTest, RejectsMalformed) {
   EXPECT_FALSE(data::ParseJson("{\"a\" 1}").ok());
   EXPECT_FALSE(data::ParseJson("12 34").ok());
   EXPECT_FALSE(data::ParseJson("nul").ok());
+  // Nesting past the depth cap is rejected at the offending bracket
+  // instead of recursing until the stack runs out.
+  const auto deep = data::ParseJson(std::string(30000, '['));
+  ASSERT_FALSE(deep.ok());
+  EXPECT_EQ(deep.status().code(), core::StatusCode::kInvalidArgument);
+  EXPECT_NE(deep.status().message().find("offset 256"), std::string::npos)
+      << deep.status().ToString();
+  EXPECT_TRUE(
+      data::ParseJson(std::string(256, '[') + std::string(256, ']')).ok());
 }
 
 TEST(JsonTest, DuplicateKeysLastWins) {
@@ -284,7 +293,6 @@ TEST(ActiveLearningTest, LabeledSetGrowsPerRound) {
   config.max_seq_len = 96;
   lm::MlmOptions mlm;
   mlm.epochs = 1;
-  mlm.max_seq_len = 96;
   core::Rng rng(31);
   auto lm_ptr = lm::PretrainedLM::Pretrain(corpus, config, mlm,
                                            lm::RequiredPromptTokens(), &rng);

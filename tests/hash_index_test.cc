@@ -373,7 +373,7 @@ TEST(MinHashBackendParityTest, IndexStatsSeeTheBackingStore) {
   (void)ram.Drain();
   const auto ram_stats = ram.index_stats();
   EXPECT_EQ(ram_stats.band_bytes.size(),
-            static_cast<size_t>(ram_config.num_bands));
+            static_cast<size_t>(data::MinHashBlocker::kNumBands));
   EXPECT_GT(ram_stats.ram_bytes, 0u);
   EXPECT_EQ(ram_stats.file_bytes, 0u);
 

@@ -122,7 +122,6 @@ TEST(PretrainTest, LossDecreases) {
   nn::TransformerEncoder encoder(config, &rng);
   MlmOptions options;
   options.epochs = 2;
-  options.max_seq_len = 96;
   auto losses = PretrainMlm(&encoder, corpus, vocab, options, &rng);
   ASSERT_EQ(losses.size(), 2u);
   EXPECT_LT(losses[1], losses[0]);
@@ -140,7 +139,6 @@ TEST(PretrainedLmTest, PretrainSaveLoadCloneRoundTrip) {
   config.max_seq_len = 96;
   MlmOptions options;
   options.epochs = 1;
-  options.max_seq_len = 96;
   core::Rng rng(6);
   auto lm = PretrainedLM::Pretrain(corpus, config, options,
                                    RequiredPromptTokens(), &rng);
@@ -186,7 +184,6 @@ TEST(PretrainedLmTest, AlwaysMaskWordsResolved) {
   config.max_seq_len = 96;
   MlmOptions options;
   options.epochs = 1;
-  options.max_seq_len = 96;
   options.always_mask_words = {"similar", "different"};
   core::Rng rng(8);
   auto lm = PretrainedLM::Pretrain(corpus, config, options,

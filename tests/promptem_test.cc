@@ -37,7 +37,6 @@ const lm::PretrainedLM& TinyLM() {
     config.max_seq_len = 96;
     lm::MlmOptions options;
     options.epochs = 2;
-    options.max_seq_len = 96;
     options.always_mask_words = {"matched",    "similar",   "relevant",
                                  "mismatched", "different", "irrelevant"};
     core::Rng rng(11);

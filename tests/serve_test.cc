@@ -240,6 +240,14 @@ TEST(ServeProtocolTest, MalformedRequestsAreRejected) {
   for (const char* request : bad) {
     EXPECT_FALSE(serve::ParseMatchRequest(request).ok()) << request;
   }
+  // A ~30 KB frame of nested brackets, parsed on a plain thread the way a
+  // connection reader parses it: rejected, not a stack overflow.
+  bool deep_ok = true;
+  std::thread reader([&deep_ok] {
+    deep_ok = serve::ParseMatchRequest(std::string(30000, '[')).ok();
+  });
+  reader.join();
+  EXPECT_FALSE(deep_ok);
 }
 
 TEST(ServeProtocolTest, PairCapIsEnforced) {
@@ -583,6 +591,22 @@ TEST_F(ServeDaemonTest, MalformedFramesAreRejectedWithoutCrashing) {
     serve::MatchRequest request;
     request.id = 5;
     request.pairs = SomePairs(2, 5);
+    EXPECT_EQ(RoundTrip(fd, request).status, serve::ResponseStatus::kOk);
+    ::close(fd);
+  }
+
+  // Nesting past the JSON depth cap: bad_request, connection stays usable.
+  {
+    const int fd = ConnectLoopback(daemon.port());
+    ASSERT_TRUE(serve::WriteFrame(fd, std::string(30000, '[')).ok());
+    std::string payload;
+    ASSERT_TRUE(serve::ReadFrame(fd, &payload).ok());
+    auto parsed = serve::ParseMatchResponse(payload);
+    ASSERT_TRUE(parsed.ok());
+    EXPECT_EQ(parsed.value().status, serve::ResponseStatus::kBadRequest);
+    serve::MatchRequest request;
+    request.id = 7;
+    request.pairs = SomePairs(2, 7);
     EXPECT_EQ(RoundTrip(fd, request).status, serve::ResponseStatus::kOk);
     ::close(fd);
   }

@@ -164,13 +164,6 @@ TEST(KernelsTest, GeluValues) {
   }
 }
 
-TEST(KernelsTest, DotAndNorm) {
-  const float a[] = {3, 4};
-  EXPECT_FLOAT_EQ(kernels::L2Norm(a, 2), 5.0f);
-  const float b[] = {1, 2};
-  EXPECT_FLOAT_EQ(kernels::Dot(a, b, 2), 11.0f);
-}
-
 // ---------------------------------------------------------------------------
 // Numerical gradient checking. For a scalar function L(x) built from ops,
 // compares autograd dL/dx against (L(x+h) - L(x-h)) / 2h.

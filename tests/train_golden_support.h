@@ -65,7 +65,6 @@ inline const lm::PretrainedLM& GoldenLM() {
     config.max_seq_len = 96;
     lm::MlmOptions options;
     options.epochs = 2;
-    options.max_seq_len = 96;
     core::Rng rng(13);
     return lm::PretrainedLM::Pretrain(corpus, config, options,
                                       lm::RequiredPromptTokens(), &rng)

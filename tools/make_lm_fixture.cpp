@@ -36,7 +36,6 @@ int main(int argc, char** argv) {
 
   lm::MlmOptions options;
   options.epochs = 2;
-  options.max_seq_len = 96;
   options.always_mask_words = {"matched",    "similar",   "relevant",
                                "mismatched", "different", "irrelevant"};
 

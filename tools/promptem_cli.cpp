@@ -60,7 +60,7 @@ void PrintUsage() {
       "promptem_cli --list | --list-matchers\n"
       "promptem_cli (--dataset NAME | --dir PATH) [options]\n"
       "  --matcher M     matcher to run (default PromptEM);\n"
-      "                  see --list-matchers (--method is a legacy alias)\n"
+      "                  see --list-matchers\n"
       "  --rate R        low-resource label rate in (0,1] (default: the\n"
       "                  benchmark's Table-1 rate, 0.10 for --dir)\n"
       "  --labels N      exact labeled budget (overrides --rate)\n"
@@ -265,7 +265,7 @@ int main(int argc, char** argv) {
       dir = next();
     } else if (arg == "--name") {
       custom_name = next();
-    } else if (arg == "--matcher" || arg == "--method") {
+    } else if (arg == "--matcher") {
       matcher_name = next();
     } else if (arg == "--run-log") {
       run_log_path = next();

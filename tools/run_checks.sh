@@ -38,7 +38,8 @@ run_suite build-checks "" -DCMAKE_BUILD_TYPE=Release
 
 # 2. The memory-safety set (every "asan" label in tests/CMakeLists.txt:
 #    execution engine, fused attention, SIMD kernels, streaming pipeline,
-#    caches, hash index, serving, fault injection) under AddressSanitizer.
+#    caches, hash index, serving, fault injection, and the JSON/CSV/JSONL
+#    parsers and loaders) under AddressSanitizer.
 run_suite build-asan asan -DPROMPTEM_SANITIZE=address
 
 # 3. The concurrency set (every "tsan" label: pool determinism, fused
