@@ -16,6 +16,7 @@
 #include "baselines/deepmatcher.h"
 #include "baselines/sentence_bert.h"
 #include "baselines/tdmatch_star.h"
+#include "core/hashing.h"
 #include "core/mem_tracker.h"
 #include "core/thread_pool.h"
 #include "data/benchmarks.h"
@@ -26,6 +27,7 @@
 #include "promptem/uncertainty.h"
 #include "tensor/arena.h"
 #include "tensor/autograd.h"
+#include "tensor/kernels.h"
 #include "tensor/ops.h"
 #include "text/vocab.h"
 
@@ -54,7 +56,9 @@ const lm::PretrainedLM& FixtureLM() {
   return *kLm;
 }
 
-std::vector<EncodedPair> SyntheticPairs(int n, uint64_t seed) {
+/// `n` random pairs whose sides hold 3 to 2 + `max_extra` tokens each.
+std::vector<EncodedPair> SyntheticPairs(int n, uint64_t seed,
+                                        int max_extra = 8) {
   const int vocab = FixtureLM().vocab().size();
   const int lo = text::SpecialTokens::kCount;
   core::Rng rng(seed);
@@ -62,8 +66,9 @@ std::vector<EncodedPair> SyntheticPairs(int n, uint64_t seed) {
   out.reserve(static_cast<size_t>(n));
   for (int i = 0; i < n; ++i) {
     EncodedPair p;
-    const int left_len = 3 + static_cast<int>(rng.NextU64(8));
-    const int right_len = 3 + static_cast<int>(rng.NextU64(8));
+    const uint64_t extra = static_cast<uint64_t>(max_extra);
+    const int left_len = 3 + static_cast<int>(rng.NextU64(extra));
+    const int right_len = 3 + static_cast<int>(rng.NextU64(extra));
     for (int k = 0; k < left_len; ++k) {
       p.left_ids.push_back(
           lo + static_cast<int>(rng.NextU64(static_cast<uint64_t>(
@@ -398,6 +403,55 @@ TEST(EngineParityTest, PredictionsIndependentOfPriorMode) {
   EXPECT_FALSE(model.training());  // the engine switched it to eval
   const std::vector<int> from_eval_state = em::PredictLabels(&model, xs);
   EXPECT_EQ(from_train_state, from_eval_state);
+}
+
+// ---------------------------------------------------------------------------
+// Cross-commit scoring golden.
+// ---------------------------------------------------------------------------
+
+/// FNV-1a over the bits of every probability ScoreBatch returns for xs.
+uint64_t ScoreDigest(em::PairClassifier* model,
+                     const std::vector<EncodedPair>& xs) {
+  uint64_t hash = core::kFnv1aOffset;
+  for (const em::ProbPair& p : em::ScoreBatch(model, xs)) {
+    hash = core::Fnv1a64(p.data(), sizeof(p), hash);
+  }
+  return hash;
+}
+
+/// Expects `model`'s ScoreBatch digest over `xs` to equal the pinned
+/// value of each kernel variant. Without AVX2 support the AVX2 request
+/// runs the scalar kernels, so it must reproduce the scalar digest.
+void ExpectScoreDigests(em::PairClassifier* model,
+                        const std::vector<EncodedPair>& xs,
+                        uint64_t scalar_digest, uint64_t avx2_digest) {
+  using tensor::kernels::KernelVariant;
+  for (KernelVariant v : {KernelVariant::kScalar, KernelVariant::kAvx2}) {
+    tensor::kernels::ScopedKernelVariant scoped(v);
+    const KernelVariant active = tensor::kernels::ActiveKernelVariant();
+    SCOPED_TRACE(tensor::kernels::KernelVariantName(active));
+    EXPECT_EQ(ScoreDigest(model, xs),
+              active == KernelVariant::kAvx2 ? avx2_digest : scalar_digest);
+  }
+}
+
+// Pins the eval probabilities of both LM matchers across commits. The
+// engine parity tests compare ScoreBatch with per-pair Probs, and both
+// run the same forward, so only a golden value catches a forward that
+// drifts from the one it replaced. Pair lengths reach the fixture's
+// 96-token limit, so attention runs over one to three row and key tiles.
+TEST(ScoringGoldenTest, PromptModelProbsAreStable) {
+  core::Rng rng(42);
+  em::PromptModel model(FixtureLM(), em::PromptModelConfig{}, &rng);
+  ExpectScoreDigests(&model, SyntheticPairs(513, 513, /*max_extra=*/48),
+                     7657674785503793075ull, 11957171583823380660ull);
+}
+
+TEST(ScoringGoldenTest, FinetuneModelProbsAreStable) {
+  core::Rng rng(41);
+  em::FinetuneModel model(FixtureLM(), &rng);
+  ExpectScoreDigests(&model, SyntheticPairs(513, 514, /*max_extra=*/48),
+                     14564873473536089192ull, 2234172089590757710ull);
 }
 
 TEST(EngineParityTest, TdMatchStarStableAcrossThreadCounts) {
