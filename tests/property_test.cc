@@ -1,15 +1,19 @@
 // Property-style parameterized sweeps (TEST_P) over the numeric core:
 // gradient checks for MatMul across shape/transpose combinations,
-// softmax/log-softmax invariants across widths, serializer/tokenizer
-// round-trip properties across all benchmarks, and RNG stream
-// independence across seeds.
+// softmax/log-softmax invariants across widths, row invariance of every
+// eval GEMM entry and of attention (both kernel variants, two pool
+// sizes), serializer/tokenizer round-trip properties across all
+// benchmarks, and RNG stream independence across seeds.
 
 #include <cmath>
+#include <cstring>
+#include <optional>
 #include <tuple>
 
 #include <gtest/gtest.h>
 
 #include "core/rng.h"
+#include "core/thread_pool.h"
 #include "data/benchmarks.h"
 #include "data/json.h"
 #include "data/serializer.h"
@@ -195,6 +199,116 @@ INSTANTIATE_TEST_SUITE_P(
         if (c == '-') c = '_';
       }
       return name;
+    });
+
+// ---------------------------------------------------------------------------
+// Row invariance: row i of an M-row product is bitwise the product of row
+// i alone. The last encoder layer's query-row subset relies on it for
+// every GEMM entry eval runs and for FusedSdpa, in both kernel variants
+// and at any pool size.
+// ---------------------------------------------------------------------------
+
+using tensor::kernels::KernelVariant;
+
+constexpr int kRowCounts[] = {1, 2, 3, 4, 5, 7, 8, 9, 33};
+constexpr int kKeyCounts[] = {1, 31, 32, 33, 64, 65, 96};
+// Inner and output widths, none a multiple of the 8-lane vector width.
+// k = 261 pushes the 33-row products past the pool-parallel threshold.
+constexpr int kInnerDims[] = {5, 13, 37, 70, 261};
+constexpr int kOuterDims[] = {3, 21, 31, 33, 65, 75, 97};
+
+using RowInvarianceCase = std::tuple<KernelVariant, int>;  // variant, pool
+
+class RowInvarianceSweep
+    : public ::testing::TestWithParam<RowInvarianceCase> {
+ protected:
+  void SetUp() override {
+    variant_.emplace(std::get<0>(GetParam()));
+    core::SetNumThreads(std::get<1>(GetParam()));
+  }
+  void TearDown() override {
+    core::SetNumThreads(0);
+    variant_.reset();
+  }
+
+ private:
+  std::optional<tensor::kernels::ScopedKernelVariant> variant_;
+};
+
+/// Row `row` of `a` [rows, cols] as a [1, cols] tensor.
+tensor::Tensor RowOf(const tensor::Tensor& a, int row) {
+  return ops::SelectRows(a, {row});
+}
+
+/// True when row `row` of `full` holds exactly the bits of `single`.
+bool RowBitsEqual(const tensor::Tensor& full, int row,
+                  const tensor::Tensor& single) {
+  const int cols = single.dim(1);
+  return std::memcmp(full.data() + static_cast<int64_t>(row) * cols,
+                     single.data(), sizeof(float) * cols) == 0;
+}
+
+TEST_P(RowInvarianceSweep, MatMulRowsMatchSingleRowProducts) {
+  for (int m : kRowCounts) {
+    for (int k : kInnerDims) {
+      for (int n : kOuterDims) {
+        const tensor::Tensor a = RandomTensor({m, k}, 300 + m * 7 + k);
+        const tensor::Tensor b_nn = RandomTensor({k, n}, 400 + n);
+        const tensor::Tensor b_nt = RandomTensor({n, k}, 500 + n);
+        const tensor::Tensor nn = ops::MatMul(a, b_nn);
+        const tensor::Tensor nt = ops::MatMul(a, b_nt, false, true);
+        for (int i = 0; i < m; ++i) {
+          const tensor::Tensor ai = RowOf(a, i);
+          ASSERT_TRUE(RowBitsEqual(nn, i, ops::MatMul(ai, b_nn)))
+              << "NN m=" << m << " k=" << k << " n=" << n << " row " << i;
+          ASSERT_TRUE(RowBitsEqual(nt, i, ops::MatMul(ai, b_nt, false, true)))
+              << "NT m=" << m << " k=" << k << " n=" << n << " row " << i;
+        }
+      }
+    }
+  }
+}
+
+TEST_P(RowInvarianceSweep, GemmStridedRowsMatchSingleRowProducts) {
+  // Operands are column blocks of wider buffers, as the attention tiles
+  // address them; the strided entry runs only the NN case in eval.
+  for (int m : kRowCounts) {
+    for (int k : kInnerDims) {
+      for (int n : kOuterDims) {
+        const int lda = k + 3;
+        const int ldb = n + 5;
+        const int ldc = n + 2;
+        const tensor::Tensor a = RandomTensor({m, lda}, 600 + m * 7 + k);
+        const tensor::Tensor b = RandomTensor({k, ldb}, 700 + n);
+        std::vector<float> full(static_cast<size_t>(m) * ldc, 0.0f);
+        tensor::kernels::GemmStrided(false, false, m, n, k, 0.5f, a.data(),
+                                     lda, b.data(), ldb, 0.0f, full.data(),
+                                     ldc);
+        std::vector<float> single(static_cast<size_t>(ldc));
+        for (int i = 0; i < m; ++i) {
+          tensor::kernels::GemmStrided(
+              false, false, 1, n, k, 0.5f,
+              a.data() + static_cast<int64_t>(i) * lda, lda, b.data(), ldb,
+              0.0f, single.data(), ldc);
+          ASSERT_EQ(std::memcmp(full.data() + static_cast<int64_t>(i) * ldc,
+                                single.data(), sizeof(float) * n),
+                    0)
+              << "m=" << m << " k=" << k << " n=" << n << " row " << i;
+        }
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    VariantsAndPools, RowInvarianceSweep,
+    ::testing::Combine(::testing::Values(KernelVariant::kScalar,
+                                         KernelVariant::kAvx2),
+                       ::testing::Values(1, 4)),
+    [](const ::testing::TestParamInfo<RowInvarianceCase>& info) {
+      return std::string(
+                 tensor::kernels::KernelVariantName(std::get<0>(info.param))) +
+             "_pool" + std::to_string(std::get<1>(info.param));
     });
 
 // ---------------------------------------------------------------------------
