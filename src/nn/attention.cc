@@ -24,10 +24,11 @@ MultiHeadSelfAttention::MultiHeadSelfAttention(int dim, int num_heads,
   RegisterModule("attn_dropout", &attn_dropout_);
 }
 
-tensor::Tensor MultiHeadSelfAttention::Forward(const tensor::Tensor& x,
-                                               core::Rng* rng) const {
+tensor::Tensor MultiHeadSelfAttention::ForwardRows(
+    const tensor::Tensor& queries, const tensor::Tensor& x,
+    core::Rng* rng) const {
   PROMPTEM_CHECK(x.ndim() == 2 && x.dim(1) == dim_);
-  tensor::Tensor q = wq_.Forward(x);
+  tensor::Tensor q = wq_.Forward(queries);
   tensor::Tensor k = wk_.Forward(x);
   tensor::Tensor v = wv_.Forward(x);
 

@@ -23,7 +23,15 @@ class MultiHeadSelfAttention : public Module {
                          core::Rng* rng);
 
   /// x: [T, D] -> [T, D].
-  tensor::Tensor Forward(const tensor::Tensor& x, core::Rng* rng) const;
+  tensor::Tensor Forward(const tensor::Tensor& x, core::Rng* rng) const {
+    return ForwardRows(x, x, rng);
+  }
+
+  /// Attention from `queries` [M, D], rows of `x`, over every row of
+  /// `x` [T, D] -> [M, D]: Q projects only the query rows, K and V every
+  /// row. M != T is an eval-only shape (see tensor::ops::FusedSdpa).
+  tensor::Tensor ForwardRows(const tensor::Tensor& queries,
+                             const tensor::Tensor& x, core::Rng* rng) const;
 
   int num_heads() const { return num_heads_; }
 

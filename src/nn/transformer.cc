@@ -1,5 +1,6 @@
 #include "nn/transformer.h"
 
+#include "tensor/autograd.h"
 #include "text/vocab.h"
 
 #include <algorithm>
@@ -26,10 +27,20 @@ TransformerEncoderLayer::TransformerEncoderLayer(
   RegisterModule("dropout", &dropout_);
 }
 
-tensor::Tensor TransformerEncoderLayer::Forward(const tensor::Tensor& x,
-                                                core::Rng* rng) const {
-  tensor::Tensor attn_out = dropout_.Forward(attn_.Forward(x, rng), rng);
-  tensor::Tensor h = ln1_.Forward(ops::Add(x, attn_out));
+tensor::Tensor TransformerEncoderLayer::Forward(
+    const tensor::Tensor& x, core::Rng* rng,
+    const std::vector<int>* query_rows) const {
+  tensor::Tensor queries = x;
+  if (query_rows != nullptr) {
+    // A row subset would draw a shorter dropout stream and cut rows out
+    // of the graph, so only graph-free eval may take it.
+    PROMPTEM_CHECK_MSG(!training() && !tensor::GradEnabled(),
+                       "query rows need graph-free eval");
+    queries = ops::SelectRows(x, *query_rows);
+  }
+  tensor::Tensor attn_out =
+      dropout_.Forward(attn_.ForwardRows(queries, x, rng), rng);
+  tensor::Tensor h = ln1_.Forward(ops::Add(queries, attn_out));
   tensor::Tensor ffn = ffn2_.Forward(ops::Gelu(ffn1_.Forward(h)));
   ffn = dropout_.Forward(ffn, rng);
   return ln2_.Forward(ops::Add(h, ffn));
@@ -97,15 +108,21 @@ tensor::Tensor TransformerEncoder::Embed(const std::vector<int>& ids,
 }
 
 tensor::Tensor TransformerEncoder::EncodeEmbedded(
-    const tensor::Tensor& embedded, core::Rng* rng) const {
+    const tensor::Tensor& embedded, core::Rng* rng,
+    const std::vector<int>* query_rows) const {
+  PROMPTEM_CHECK(query_rows == nullptr || !layers_.empty());
   tensor::Tensor h = embedded;
-  for (const auto& layer : layers_) h = layer->Forward(h, rng);
+  for (size_t i = 0; i < layers_.size(); ++i) {
+    const bool last = i + 1 == layers_.size();
+    h = layers_[i]->Forward(h, rng, last ? query_rows : nullptr);
+  }
   return h;
 }
 
-tensor::Tensor TransformerEncoder::Encode(const std::vector<int>& ids,
-                                          core::Rng* rng) const {
-  return EncodeEmbedded(Embed(ids, rng), rng);
+tensor::Tensor TransformerEncoder::Encode(
+    const std::vector<int>& ids, core::Rng* rng,
+    const std::vector<int>* query_rows) const {
+  return EncodeEmbedded(Embed(ids, rng), rng, query_rows);
 }
 
 tensor::Tensor TransformerEncoder::MlmLogits(

@@ -26,7 +26,14 @@ class TransformerEncoderLayer : public Module {
  public:
   TransformerEncoderLayer(const TransformerConfig& config, core::Rng* rng);
 
-  tensor::Tensor Forward(const tensor::Tensor& x, core::Rng* rng) const;
+  /// x: [T, D] -> [T, D]. With `query_rows`, returns only those rows
+  /// ([query_rows.size(), D]), bitwise equal to the same rows of the full
+  /// output: K and V still project every row, while Q, attention, the
+  /// out-projection, residuals, LayerNorms and the FFN run only over the
+  /// listed rows. Query rows need graph-free eval (grad mode off, no
+  /// dropout).
+  tensor::Tensor Forward(const tensor::Tensor& x, core::Rng* rng,
+                         const std::vector<int>* query_rows = nullptr) const;
 
  private:
   MultiHeadSelfAttention attn_;
@@ -70,11 +77,18 @@ class TransformerEncoder : public Module {
   static std::vector<int> DuplicateFlags(const std::vector<int>& ids);
 
   /// Runs the encoder blocks over already-embedded input [T, D] -> [T, D].
-  tensor::Tensor EncodeEmbedded(const tensor::Tensor& embedded,
-                                core::Rng* rng) const;
+  /// With `query_rows`, the last block computes only those rows and the
+  /// result is [query_rows.size(), D], bitwise equal to the same rows of
+  /// the full output. Heads that read one row (the [MASK] verbalizer, a
+  /// [CLS] classifier) pass it in graph-free eval; training and
+  /// MC-Dropout must not (see TransformerEncoderLayer::Forward).
+  tensor::Tensor EncodeEmbedded(
+      const tensor::Tensor& embedded, core::Rng* rng,
+      const std::vector<int>* query_rows = nullptr) const;
 
   /// Embed + encode convenience.
-  tensor::Tensor Encode(const std::vector<int>& ids, core::Rng* rng) const;
+  tensor::Tensor Encode(const std::vector<int>& ids, core::Rng* rng,
+                        const std::vector<int>* query_rows = nullptr) const;
 
   /// Tied MLM logits for selected positions: [positions.size(), vocab].
   tensor::Tensor MlmLogits(const tensor::Tensor& hidden,

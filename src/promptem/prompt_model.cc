@@ -30,8 +30,7 @@ PromptModel::PromptModel(const lm::PretrainedLM& lm,
   }
 }
 
-tensor::Tensor PromptModel::PromptRows(core::Rng* rng) const {
-  (void)rng;
+tensor::Tensor PromptModel::PromptRows() const {
   PROMPTEM_CHECK(config_.template_mode == TemplateMode::kContinuous);
   // P-tuning: BiLSTM over the trainable prompt tokens models interaction
   // between them; a linear head maps back to the embedding space.
@@ -40,6 +39,7 @@ tensor::Tensor PromptModel::PromptRows(core::Rng* rng) const {
 }
 
 tensor::Tensor PromptModel::BuildInputRows(const EncodedPair& x,
+                                           const tensor::Tensor& prompt_rows,
                                            core::Rng* rng,
                                            int* mask_pos) const {
   // Expand slots into a token-id sequence; prompt slots get a placeholder
@@ -89,7 +89,8 @@ tensor::Tensor PromptModel::BuildInputRows(const EncodedPair& x,
 
   tensor::Tensor rows = encoder_->token_embedding().Forward(ids);
   if (!prompt_positions.empty()) {
-    tensor::Tensor prompt_rows = PromptRows(rng);
+    const tensor::Tensor prompts =
+        prompt_rows.defined() ? prompt_rows : PromptRows();
     // Splice prompt rows into the sequence between token segments.
     std::vector<tensor::Tensor> pieces;
     int cursor = 0;
@@ -101,7 +102,7 @@ tensor::Tensor PromptModel::BuildInputRows(const EncodedPair& x,
         }
         pieces.push_back(ops::SelectRows(rows, seg));
       }
-      pieces.push_back(ops::SelectRows(prompt_rows, {prompt_idx}));
+      pieces.push_back(ops::SelectRows(prompts, {prompt_idx}));
       cursor = pos + 1;
     }
     const int total = static_cast<int>(ids.size());
@@ -119,25 +120,34 @@ tensor::Tensor PromptModel::BuildInputRows(const EncodedPair& x,
 }
 
 tensor::Tensor PromptModel::MaskLogits(const EncodedPair& x,
+                                       const tensor::Tensor& prompt_rows,
                                        core::Rng* rng) const {
   int mask_pos = -1;
-  tensor::Tensor embedded = BuildInputRows(x, rng, &mask_pos);
-  tensor::Tensor hidden = encoder_->EncodeEmbedded(embedded, rng);
-  return encoder_->MlmLogits(hidden, {mask_pos});
+  tensor::Tensor embedded = BuildInputRows(x, prompt_rows, rng, &mask_pos);
+  if (training() || tensor::GradEnabled()) {
+    tensor::Tensor hidden = encoder_->EncodeEmbedded(embedded, rng);
+    return encoder_->MlmLogits(hidden, {mask_pos});
+  }
+  // The verbalizer reads only h_[MASK] (Eq. 1), so in graph-free eval the
+  // last layer computes that one row.
+  const std::vector<int> mask_row = {mask_pos};
+  tensor::Tensor hidden = encoder_->EncodeEmbedded(embedded, rng, &mask_row);
+  return encoder_->MlmLogits(hidden, {0});
 }
 
 tensor::Tensor PromptModel::PairEmbedding(const EncodedPair& x,
                                           core::Rng* rng) const {
   tensor::NoGradGuard no_grad;
   int mask_pos = -1;
-  tensor::Tensor embedded = BuildInputRows(x, rng, &mask_pos);
+  tensor::Tensor embedded =
+      BuildInputRows(x, tensor::Tensor(), rng, &mask_pos);
   tensor::Tensor hidden = encoder_->EncodeEmbedded(embedded, rng);
   return ops::MeanRows(hidden);
 }
 
 tensor::Tensor PromptModel::Loss(const EncodedPair& x, int label,
                                  core::Rng* rng) {
-  return verbalizer_.Loss(MaskLogits(x, rng), label);
+  return verbalizer_.Loss(MaskLogits(x, tensor::Tensor(), rng), label);
 }
 
 std::array<float, 2> PromptModel::Probs(const EncodedPair& x,
@@ -149,7 +159,25 @@ std::array<float, 2> PromptModel::Probs(const EncodedPair& x,
   // stochasticity is governed solely by the module's Train()/Eval() state,
   // so MC-Dropout works under this guard.
   tensor::NoGradGuard no_grad;
-  return verbalizer_.PredictProbs(MaskLogits(x, rng));
+  return verbalizer_.PredictProbs(MaskLogits(x, tensor::Tensor(), rng));
+}
+
+PairClassifier::SweepScoreFn PromptModel::SweepScorer() {
+  if (config_.template_mode != TemplateMode::kContinuous) {
+    return PairClassifier::SweepScorer();
+  }
+  // The prompt rows are held by this sweep's scorer, never cached on the
+  // model: any parameter change (an optimizer step, a best-snapshot
+  // restore) happens between sweeps, so the next sweep recomputes them.
+  tensor::Tensor prompt_rows;
+  {
+    tensor::NoGradGuard no_grad;
+    prompt_rows = PromptRows();
+  }
+  return [this, prompt_rows](const EncodedPair& x, core::Rng* rng) {
+    tensor::NoGradGuard no_grad;
+    return verbalizer_.PredictProbs(MaskLogits(x, prompt_rows, rng));
+  };
 }
 
 }  // namespace promptem::em

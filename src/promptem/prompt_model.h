@@ -37,8 +37,9 @@ class PromptModel : public nn::Module, public PairClassifier {
   std::array<float, 2> Probs(const EncodedPair& x, core::Rng* rng) override;
   nn::Module* AsModule() override { return this; }
 
-  /// MLM logits at the [MASK] position for one templated pair: [1, vocab].
-  tensor::Tensor MaskLogits(const EncodedPair& x, core::Rng* rng) const;
+  /// Computes the continuous prompt rows once and shares them, read-only,
+  /// with every pair of the sweep.
+  SweepScoreFn SweepScorer() override;
 
   /// Mean-pooled encoder representation of the pair (used by the
   /// clustering pseudo-label strategy): [1, dim].
@@ -49,12 +50,22 @@ class PromptModel : public nn::Module, public PairClassifier {
 
  private:
   /// Assembles embedded rows for the templated sequence, splicing
-  /// continuous prompt rows when in continuous mode. Sets *mask_pos.
-  tensor::Tensor BuildInputRows(const EncodedPair& x, core::Rng* rng,
-                                int* mask_pos) const;
+  /// continuous prompt rows when in continuous mode (`prompt_rows`, or
+  /// freshly computed ones when it is undefined). Sets *mask_pos.
+  tensor::Tensor BuildInputRows(const EncodedPair& x,
+                                const tensor::Tensor& prompt_rows,
+                                core::Rng* rng, int* mask_pos) const;
 
-  /// Prompt rows after BiLSTM + projection: [num_prompts, dim].
-  tensor::Tensor PromptRows(core::Rng* rng) const;
+  /// MLM logits at the [MASK] position for one templated pair: [1, vocab].
+  /// `prompt_rows` as for BuildInputRows. In graph-free eval the last
+  /// encoder layer computes only the [MASK] row.
+  tensor::Tensor MaskLogits(const EncodedPair& x,
+                            const tensor::Tensor& prompt_rows,
+                            core::Rng* rng) const;
+
+  /// Prompt rows after BiLSTM + projection: [num_prompts, dim]. They
+  /// depend only on the parameters.
+  tensor::Tensor PromptRows() const;
 
   PromptModelConfig config_;
   std::unique_ptr<nn::TransformerEncoder> encoder_;

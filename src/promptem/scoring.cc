@@ -42,9 +42,11 @@ std::vector<ProbPair> ScoreIndexed(int64_t n, const IndexedScoreFn& score_one,
 std::vector<ProbPair> ScoreBatch(PairClassifier* model,
                                  const std::vector<EncodedPair>& xs) {
   model->AsModule()->Eval();
+  if (xs.empty()) return {};
+  const PairClassifier::SweepScoreFn score = model->SweepScorer();
   return ScoreIndexed(static_cast<int64_t>(xs.size()),
                       [&](int64_t i, core::Rng* rng) {
-                        return model->Probs(xs[static_cast<size_t>(i)], rng);
+                        return score(xs[static_cast<size_t>(i)], rng);
                       });
 }
 

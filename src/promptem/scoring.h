@@ -73,7 +73,8 @@ std::vector<ProbPair> ScoreIndexed(int64_t n, const IndexedScoreFn& score_one,
                                    const std::vector<uint64_t>& seeds = {});
 
 /// Eval-mode probabilities for every pair. Puts the model in Eval() (and
-/// leaves it there, matching PredictLabels semantics).
+/// leaves it there, matching PredictLabels semantics), then scores every
+/// pair through one PairClassifier::SweepScorer built for this call.
 std::vector<ProbPair> ScoreBatch(PairClassifier* model,
                                  const std::vector<EncodedPair>& xs);
 

@@ -2,6 +2,7 @@
 #define PROMPTEM_PROMPTEM_TRAINER_H_
 
 #include <array>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -27,6 +28,20 @@ class PairClassifier {
   /// (dropout active) in training mode — MC-Dropout exploits the latter.
   virtual std::array<float, 2> Probs(const EncodedPair& x,
                                      core::Rng* rng) = 0;
+
+  /// Eval Probs for one scoring sweep, callable from every pool worker at
+  /// once. Built at the start of a sweep, with the model in eval mode, it
+  /// may hold values that depend only on the parameters, computed once
+  /// for the whole sweep (PromptModel's P-tuning prompt rows). Such values
+  /// go stale when the parameters change, so a scorer lives no longer
+  /// than its sweep. Each call returns bitwise what Probs would.
+  using SweepScoreFn =
+      std::function<std::array<float, 2>(const EncodedPair&, core::Rng*)>;
+  virtual SweepScoreFn SweepScorer() {
+    return [this](const EncodedPair& x, core::Rng* rng) {
+      return Probs(x, rng);
+    };
+  }
 
   /// The underlying module (parameters / train mode).
   virtual nn::Module* AsModule() = 0;

@@ -83,10 +83,14 @@ Tensor SelectCols(const Tensor& x, const std::vector<int>& cols);
 Tensor SliceCols(const Tensor& x, int col_begin, int count);
 
 /// Fused multi-head scaled-dot-product self-attention over packed
-/// per-head buffers. q, k, v are [T, D] with D = num_heads * head_dim and
-/// head h occupying columns [h*head_dim, (h+1)*head_dim). Returns the
-/// packed [T, D] context (softmax(scale * Q_h K_h^T) with dropout, times
-/// V_h, written directly into head h's column block).
+/// per-head buffers. k and v are [T, D] and q is [M, D], with
+/// D = num_heads * head_dim and head h occupying columns
+/// [h*head_dim, (h+1)*head_dim). Returns the packed [M, D] context
+/// (softmax(scale * Q_h K_h^T) with dropout, times V_h, written directly
+/// into head h's column block). Row i of the result depends only on row i
+/// of q, bitwise, so a query-row subset (M != T) yields exactly those rows
+/// of the full result; it is allowed only graph-free (no input tracked
+/// under grad mode) with dropout_p == 0.
 ///
 /// One tiled pass per (head, row-tile) — parallelized via
 /// core::ParallelFor with a pool-size-independent decomposition — reads

@@ -18,9 +18,13 @@
 //    from the thread's ScratchArena when one is installed.
 //
 // Determinism: the (head, row-tile) task decomposition and every
-// per-row reduction order are pure functions of (T, H, hd) and the tile
-// constants — never of the pool size — and tasks write disjoint output
-// regions, so results are bitwise identical for any PROMPTEM_NUM_THREADS.
+// per-row reduction order are pure functions of (M, T, H, hd) and the
+// tile constants — never of the pool size — and tasks write disjoint
+// output regions, so results are bitwise identical for any
+// PROMPTEM_NUM_THREADS. A query row's chain of GEMM, online-max and
+// normalize steps never reads another query row, so row i of an M-row
+// pass is bitwise the one-row pass over q's row i (property_test pins
+// this); graph-free eval relies on it to attend from a row subset.
 
 #include <algorithm>
 #include <cmath>
@@ -147,19 +151,24 @@ Tensor FusedSdpa(const Tensor& q, const Tensor& k, const Tensor& v,
                  int num_heads, float scale, float dropout_p,
                  core::Rng* rng) {
   PROMPTEM_CHECK(q.ndim() == 2 && k.ndim() == 2 && v.ndim() == 2);
-  PROMPTEM_CHECK(SameShape(q.shape(), k.shape()) &&
-                 SameShape(q.shape(), v.shape()));
-  const int t = q.dim(0);
+  PROMPTEM_CHECK(SameShape(k.shape(), v.shape()) && q.dim(1) == k.dim(1));
+  const int m = q.dim(0);
+  const int t = k.dim(0);
   const int d = q.dim(1);
   PROMPTEM_CHECK(num_heads > 0 && d % num_heads == 0);
   PROMPTEM_CHECK(dropout_p >= 0.0f && dropout_p < 1.0f);
   const int hd = d / num_heads;
-  const int row_tiles = (t + kSdpaRowTile - 1) / kSdpaRowTile;
+  const int row_tiles = (m + kSdpaRowTile - 1) / kSdpaRowTile;
   const int64_t tasks = static_cast<int64_t>(num_heads) * row_tiles;
 
   const bool track =
       GradEnabled() &&
       (q.requires_grad() || k.requires_grad() || v.requires_grad());
+  // The backward and the dropout mask are laid out over a square [T, T]
+  // score matrix, so a query-row subset is an eval-only shape.
+  PROMPTEM_CHECK_MSG(m == t || (!track && dropout_p == 0.0f),
+                     "FusedSdpa: q rows != k rows needs graph-free eval "
+                     "without dropout");
 
   // Pre-draw the dropout mask sequentially, in the exact order the
   // unfused composition consumes `rng` (head-major, row-major within each
@@ -182,7 +191,7 @@ Tensor FusedSdpa(const Tensor& q, const Tensor& k, const Tensor& v,
   Tensor p_cache;
   if (track) p_cache = Tensor::Zeros({num_heads * t, t});
 
-  Tensor out = Tensor::Zeros({t, d});
+  Tensor out = Tensor::Zeros({m, d});
   // Per-task workspace (score/probability tile + output accumulator +
   // running max / denominator vectors), one slab so the graph-free path
   // costs a single arena draw per forward.
@@ -219,16 +228,16 @@ Tensor FusedSdpa(const Tensor& q, const Tensor& k, const Tensor& v,
       const int h = static_cast<int>(task / row_tiles);
       const int rt = static_cast<int>(task % row_tiles);
       const int i0 = rt * kSdpaRowTile;
-      const int i1 = std::min(t, i0 + kSdpaRowTile);
+      const int i1 = std::min(m, i0 + kSdpaRowTile);
       float* tile = ws + task * per_task;
       float* acc = tile + kSdpaRowTile * kSdpaKeyTile;
       float* mvec = acc + kSdpaRowTile * hd;
       float* lvec = mvec + kSdpaRowTile;
       SdpaForwardTile(
-          ColBlockView(q.data(), t, d, h * hd, hd),
+          ColBlockView(q.data(), m, d, h * hd, hd),
           kt_data + h * static_cast<int64_t>(hd) * t,
           ColBlockView(v.data(), t, d, h * hd, hd),
-          MutColBlockView(out.data(), t, d, h * hd, hd), i0, i1, scale,
+          MutColBlockView(out.data(), m, d, h * hd, hd), i0, i1, scale,
           mask_data == nullptr ? nullptr : mask_data + h * head_elems,
           cache_data == nullptr ? nullptr : cache_data + h * head_elems,
           tile, acc, mvec, lvec);

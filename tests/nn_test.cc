@@ -253,6 +253,41 @@ TEST(TransformerTest, RejectsOverlongSequence) {
   EXPECT_DEATH(enc.Encode(ids, &rng), "max_seq_len");
 }
 
+TEST(TransformerTest, QueryRowsRequireGraphFreeEval) {
+  // The first layer runs pool-parallel kernels before the last layer
+  // checks, and a forked child has no pool workers: re-exec instead.
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  core::Rng rng(1);
+  TransformerEncoder enc(TinyConfig(), &rng);
+  const std::vector<int> rows = {0};
+  enc.SetTraining(false);
+  EXPECT_DEATH(enc.Encode({5, 6, 7}, &rng, &rows), "graph-free eval");
+  tensor::NoGradGuard no_grad;
+  enc.SetTraining(true);
+  EXPECT_DEATH(enc.Encode({5, 6, 7}, &rng, &rows), "graph-free eval");
+}
+
+TEST(FusedSdpaShapeTest, QueryRowSubsetRejectedUnderGradOrDropout) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  core::Rng rng(3);
+  tensor::Tensor q = tensor::Tensor::Zeros({2, 8});
+  tensor::Tensor k = tensor::Tensor::Zeros({5, 8});
+  tensor::Tensor v = tensor::Tensor::Zeros({5, 8});
+  NormalInit(&q, 1.0f, &rng);
+  NormalInit(&k, 1.0f, &rng);
+  NormalInit(&v, 1.0f, &rng);
+  // Graph-free, no dropout: the [2, 8] context is allowed.
+  {
+    tensor::NoGradGuard no_grad;
+    EXPECT_EQ(ops::FusedSdpa(q, k, v, 2, 0.5f, 0.0f, nullptr).dim(0), 2);
+    EXPECT_DEATH(ops::FusedSdpa(q, k, v, 2, 0.5f, 0.1f, &rng),
+                 "q rows != k rows");
+  }
+  k.set_requires_grad(true);
+  EXPECT_DEATH(ops::FusedSdpa(q, k, v, 2, 0.5f, 0.0f, nullptr),
+               "q rows != k rows");
+}
+
 TEST(LstmTest, OutputShape) {
   core::Rng rng(1);
   Lstm lstm(6, 4, &rng);

@@ -17,6 +17,8 @@
 #include "data/benchmarks.h"
 #include "data/json.h"
 #include "data/serializer.h"
+#include "nn/transformer.h"
+#include "tensor/autograd.h"
 #include "tensor/kernels.h"
 #include "tensor/ops.h"
 #include "text/tokenizer.h"
@@ -205,7 +207,7 @@ INSTANTIATE_TEST_SUITE_P(
 // Row invariance: row i of an M-row product is bitwise the product of row
 // i alone. The last encoder layer's query-row subset relies on it for
 // every GEMM entry eval runs and for FusedSdpa, in both kernel variants
-// and at any pool size.
+// and at any pool size; the encoder case checks the composed contract.
 // ---------------------------------------------------------------------------
 
 using tensor::kernels::KernelVariant;
@@ -295,6 +297,67 @@ TEST_P(RowInvarianceSweep, GemmStridedRowsMatchSingleRowProducts) {
                     0)
               << "m=" << m << " k=" << k << " n=" << n << " row " << i;
         }
+      }
+    }
+  }
+}
+
+TEST_P(RowInvarianceSweep, FusedSdpaQueryRowsMatchSingleRowPasses) {
+  // (heads, head_dim): an odd head width, and the encoders' 4 x 8 layout.
+  const std::pair<int, int> layouts[] = {{2, 13}, {4, 8}};
+  for (const auto& [heads, hd] : layouts) {
+    const int d = heads * hd;
+    const float scale = 1.0f / std::sqrt(static_cast<float>(hd));
+    for (int t : kKeyCounts) {
+      const tensor::Tensor k = RandomTensor({t, d}, 800 + t);
+      const tensor::Tensor v = RandomTensor({t, d}, 900 + t);
+      std::vector<int> row_counts(std::begin(kRowCounts),
+                                  std::end(kRowCounts));
+      row_counts.push_back(t);  // the full self-attention pass
+      for (int m : row_counts) {
+        const tensor::Tensor q = RandomTensor({m, d}, 1000 + m * 7 + t);
+        const tensor::Tensor full =
+            ops::FusedSdpa(q, k, v, heads, scale, 0.0f, nullptr);
+        ASSERT_EQ(full.dim(0), m);
+        for (int i = 0; i < m; ++i) {
+          const tensor::Tensor single =
+              ops::FusedSdpa(RowOf(q, i), k, v, heads, scale, 0.0f, nullptr);
+          ASSERT_TRUE(RowBitsEqual(full, i, single))
+              << "heads=" << heads << " t=" << t << " m=" << m << " row "
+              << i;
+        }
+      }
+    }
+  }
+}
+
+TEST_P(RowInvarianceSweep, EncoderQueryRowsMatchFullOutput) {
+  nn::TransformerConfig config;
+  config.vocab_size = 60;
+  config.max_seq_len = 96;
+  config.dim = 26;
+  config.num_layers = 2;
+  config.num_heads = 2;
+  config.ffn_dim = 37;
+  core::Rng init(5);
+  nn::TransformerEncoder encoder(config, &init);
+  encoder.Eval();
+  tensor::NoGradGuard no_grad;
+  for (int t : kKeyCounts) {
+    core::Rng rng(t);
+    std::vector<int> ids(static_cast<size_t>(t));
+    for (int& id : ids) id = 5 + static_cast<int>(rng.NextU64(55));
+    const tensor::Tensor x = encoder.Embed(ids, &rng);
+    const tensor::Tensor full = encoder.EncodeEmbedded(x, &rng);
+    std::vector<std::vector<int>> row_sets = {{0}, {t - 1}};
+    if (t > 5) row_sets.push_back({0, 5, t - 1});
+    for (const std::vector<int>& rows : row_sets) {
+      const tensor::Tensor part = encoder.EncodeEmbedded(x, &rng, &rows);
+      ASSERT_EQ(part.dim(0), static_cast<int>(rows.size()));
+      for (size_t r = 0; r < rows.size(); ++r) {
+        ASSERT_TRUE(
+            RowBitsEqual(full, rows[r], RowOf(part, static_cast<int>(r))))
+            << "t=" << t << " row " << rows[r];
       }
     }
   }

@@ -42,9 +42,10 @@ run_suite build-checks "" -DCMAKE_BUILD_TYPE=Release
 #    parsers and loaders) under AddressSanitizer.
 run_suite build-asan asan -DPROMPTEM_SANITIZE=address
 
-# 3. The concurrency set (every "tsan" label: pool determinism, fused
-#    attention, SIMD kernels, streaming pipeline, caches, hash index,
-#    serving) under ThreadSanitizer. Every "cache" suite also carries
+# 3. The concurrency set (every "tsan" label: pool determinism, the
+#    execution engine and its sweep-shared prompt rows, fused attention,
+#    SIMD kernels, streaming pipeline, caches, hash index, serving) under
+#    ThreadSanitizer. Every "cache" suite also carries
 #    "tsan", so this matches CI's -L "tsan|cache".
 run_suite build-tsan tsan -DPROMPTEM_SANITIZE=thread
 
