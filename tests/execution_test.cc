@@ -8,6 +8,7 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -430,26 +431,31 @@ constexpr bool kSanitizerBuild = true;
 constexpr bool kSanitizerBuild = false;
 #endif
 
-/// Expects `model`'s ScoreBatch digest over `xs` to equal the pinned
-/// value of each kernel variant (the AVX2 value in uninstrumented builds
-/// only; sanitizer builds still run the AVX2 sweep). Without AVX2
-/// support the AVX2 request runs the scalar kernels, so it must
-/// reproduce the scalar digest.
-void ExpectScoreDigests(em::PairClassifier* model,
-                        const std::vector<EncodedPair>& xs,
-                        uint64_t scalar_digest, uint64_t avx2_digest) {
+/// Expects `digest()` to equal the pinned value of each kernel variant
+/// (the AVX2 value in uninstrumented builds only; sanitizer builds still
+/// run the AVX2 sweep). Without AVX2 support the AVX2 request runs the
+/// scalar kernels, so it must reproduce the scalar digest.
+void ExpectDigests(const std::function<uint64_t()>& digest,
+                   uint64_t scalar_digest, uint64_t avx2_digest) {
   using tensor::kernels::KernelVariant;
   for (KernelVariant v : {KernelVariant::kScalar, KernelVariant::kAvx2}) {
     tensor::kernels::ScopedKernelVariant scoped(v);
     const KernelVariant active = tensor::kernels::ActiveKernelVariant();
     SCOPED_TRACE(tensor::kernels::KernelVariantName(active));
-    const uint64_t digest = ScoreDigest(model, xs);
+    const uint64_t value = digest();
     if (active == KernelVariant::kScalar) {
-      EXPECT_EQ(digest, scalar_digest);
+      EXPECT_EQ(value, scalar_digest);
     } else if (!kSanitizerBuild) {
-      EXPECT_EQ(digest, avx2_digest);
+      EXPECT_EQ(value, avx2_digest);
     }
   }
+}
+
+void ExpectScoreDigests(em::PairClassifier* model,
+                        const std::vector<EncodedPair>& xs,
+                        uint64_t scalar_digest, uint64_t avx2_digest) {
+  ExpectDigests([&] { return ScoreDigest(model, xs); }, scalar_digest,
+                avx2_digest);
 }
 
 // Pins the eval probabilities of both LM matchers across commits. The
@@ -469,6 +475,51 @@ TEST(ScoringGoldenTest, FinetuneModelProbsAreStable) {
   em::FinetuneModel model(FixtureLM(), &rng);
   ExpectScoreDigests(&model, SyntheticPairs(513, 514, /*max_extra=*/48),
                      14564873473536089192ull, 2234172089590757710ull);
+}
+
+/// FNV-1a over the bits of every estimate McDropoutEstimateBatch returns
+/// for xs, then of every McEl2nScoreBatch score, both at the paper's
+/// K = 10 passes and drawing their seeds from one stream.
+uint64_t McDigest(em::PairClassifier* model,
+                  const std::vector<EncodedPair>& xs) {
+  core::Rng rng(2022);
+  uint64_t hash = core::kFnv1aOffset;
+  for (const em::McEstimate& e :
+       em::McDropoutEstimateBatch(model, xs, /*passes=*/10, &rng)) {
+    hash = core::Fnv1a64(&e.mean_pos_prob, sizeof(float), hash);
+    hash = core::Fnv1a64(&e.uncertainty, sizeof(float), hash);
+    hash = core::Fnv1a64(&e.pseudo_label, sizeof(int), hash);
+    hash = core::Fnv1a64(&e.confidence, sizeof(float), hash);
+  }
+  for (const float score :
+       em::McEl2nScoreBatch(model, xs, /*passes=*/10, &rng)) {
+    hash = core::Fnv1a64(&score, sizeof(float), hash);
+  }
+  return hash;
+}
+
+// Pins the MC-Dropout passes of both LM matchers across commits: every
+// dropout mask, in draw order, and every pass's probabilities. The model
+// starts in eval mode, as after training, so the passes' training-mode
+// switch is exercised too.
+TEST(McGoldenTest, PromptModelPassesAreStable) {
+  core::Rng rng(47);
+  em::PromptModel model(FixtureLM(), em::PromptModelConfig{}, &rng);
+  model.Eval();
+  const std::vector<EncodedPair> xs =
+      SyntheticPairs(40, 515, /*max_extra=*/48);
+  ExpectDigests([&] { return McDigest(&model, xs); },
+                16547008764581694460ull, 4327785996703987682ull);
+}
+
+TEST(McGoldenTest, FinetuneModelPassesAreStable) {
+  core::Rng rng(48);
+  em::FinetuneModel model(FixtureLM(), &rng);
+  model.Eval();
+  const std::vector<EncodedPair> xs =
+      SyntheticPairs(40, 516, /*max_extra=*/48);
+  ExpectDigests([&] { return McDigest(&model, xs); },
+                3828989182682368086ull, 1700043747192147371ull);
 }
 
 TEST(EngineParityTest, TdMatchStarStableAcrossThreadCounts) {
