@@ -15,25 +15,11 @@ uint64_t SplitMix64(uint64_t* state) {
   return z ^ (z >> 31);
 }
 
-uint64_t Rotl(uint64_t x, int k) { return (x << k) | (x >> (64 - k)); }
-
 }  // namespace
 
 Rng::Rng(uint64_t seed) {
   uint64_t sm = seed;
   for (auto& s : s_) s = SplitMix64(&sm);
-}
-
-uint64_t Rng::NextU64() {
-  const uint64_t result = Rotl(s_[1] * 5, 7) * 9;
-  const uint64_t t = s_[1] << 17;
-  s_[2] ^= s_[0];
-  s_[3] ^= s_[1];
-  s_[1] ^= s_[2];
-  s_[0] ^= s_[3];
-  s_[2] ^= t;
-  s_[3] = Rotl(s_[3], 45);
-  return result;
 }
 
 uint64_t Rng::NextU64(uint64_t n) {
@@ -83,6 +69,13 @@ float Rng::Gaussian(float mean, float stddev) {
 }
 
 bool Rng::Bernoulli(double p) { return NextDouble() < p; }
+
+uint64_t Rng::BernoulliThreshold(double p) {
+  constexpr double kTwo53 = 9007199254740992.0;
+  if (!(p > 0.0)) return 0;  // also NaN, which Bernoulli never accepts
+  if (p >= 1.0) return static_cast<uint64_t>(kTwo53);
+  return static_cast<uint64_t>(std::ceil(p * kTwo53));
+}
 
 std::size_t Rng::Categorical(const std::vector<double>& weights) {
   double total = 0.0;

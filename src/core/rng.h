@@ -15,8 +15,18 @@ class Rng {
  public:
   explicit Rng(uint64_t seed = 0x9E3779B97F4A7C15ULL);
 
-  /// Uniform 64-bit value.
-  uint64_t NextU64();
+  /// Uniform 64-bit value (xoshiro256**).
+  uint64_t NextU64() {
+    const uint64_t result = Rotl(s_[1] * 5, 7) * 9;
+    const uint64_t t = s_[1] << 17;
+    s_[2] ^= s_[0];
+    s_[3] ^= s_[1];
+    s_[1] ^= s_[2];
+    s_[0] ^= s_[3];
+    s_[2] ^= t;
+    s_[3] = Rotl(s_[3], 45);
+    return result;
+  }
 
   /// Uniform in [0, n). Requires n > 0.
   uint64_t NextU64(uint64_t n);
@@ -42,6 +52,15 @@ class Rng {
   /// Bernoulli draw with probability p of true.
   bool Bernoulli(double p);
 
+  /// The integer form of Bernoulli(p) for hot loops: on the same draw,
+  /// BernoulliBelow(BernoulliThreshold(p)) == Bernoulli(p). NextDouble()
+  /// is (u >> 11) * 2^-53, an exact scaling, so (u >> 11) * 2^-53 < p
+  /// holds exactly when the integer (u >> 11) is below ceil(p * 2^53).
+  static uint64_t BernoulliThreshold(double p);
+  bool BernoulliBelow(uint64_t threshold) {
+    return (NextU64() >> 11) < threshold;
+  }
+
   /// Fisher-Yates shuffle of an index-addressable container.
   template <typename T>
   void Shuffle(std::vector<T>* v) {
@@ -61,6 +80,10 @@ class Rng {
   Rng Fork();
 
  private:
+  static uint64_t Rotl(uint64_t x, int k) {
+    return (x << k) | (x >> (64 - k));
+  }
+
   uint64_t s_[4];
   bool has_spare_gaussian_ = false;
   float spare_gaussian_ = 0.0f;

@@ -2,6 +2,8 @@
 
 #include <cmath>
 
+#include "tensor/autograd.h"
+
 namespace promptem::nn {
 
 namespace ops = tensor::ops;
@@ -25,10 +27,22 @@ MultiHeadSelfAttention::MultiHeadSelfAttention(int dim, int num_heads,
 }
 
 tensor::Tensor MultiHeadSelfAttention::ForwardRows(
-    const tensor::Tensor& queries, const tensor::Tensor& x,
+    const tensor::Tensor& x, const std::vector<int>* rows,
     core::Rng* rng) const {
   PROMPTEM_CHECK(x.ndim() == 2 && x.dim(1) == dim_);
-  tensor::Tensor q = wq_.Forward(queries);
+  tensor::Tensor q;
+  if (rows == nullptr) {
+    q = wq_.Forward(x);
+  } else if (tensor::GradEnabled()) {
+    // Under grad, Q projects every row and the rows are taken after: the
+    // input gradient then gets its Q term from one [T, D] GEMM, summed in
+    // the order a full-row pass sums it. Selecting before the projection
+    // would add the rows' Q terms to x's gradient as a separately
+    // rounded sum.
+    q = ops::SelectRows(wq_.Forward(x), *rows);
+  } else {
+    q = wq_.Forward(ops::SelectRows(x, *rows));
+  }
   tensor::Tensor k = wk_.Forward(x);
   tensor::Tensor v = wv_.Forward(x);
 
@@ -37,7 +51,7 @@ tensor::Tensor MultiHeadSelfAttention::ForwardRows(
   // so eval forwards are deterministic and draw nothing from rng.
   const float p = attn_dropout_.training() ? attn_dropout_.p() : 0.0f;
   const tensor::Tensor merged =
-      ops::FusedSdpa(q, k, v, num_heads_, scale, p, rng);
+      ops::FusedSdpa(q, k, v, num_heads_, scale, p, rng, rows);
   return wo_.Forward(merged);
 }
 

@@ -2,6 +2,7 @@
 #define PROMPTEM_NN_ATTENTION_H_
 
 #include <memory>
+#include <vector>
 
 #include "nn/layers.h"
 
@@ -24,14 +25,16 @@ class MultiHeadSelfAttention : public Module {
 
   /// x: [T, D] -> [T, D].
   tensor::Tensor Forward(const tensor::Tensor& x, core::Rng* rng) const {
-    return ForwardRows(x, x, rng);
+    return ForwardRows(x, nullptr, rng);
   }
 
-  /// Attention from `queries` [M, D], rows of `x`, over every row of
-  /// `x` [T, D] -> [M, D]: Q projects only the query rows, K and V every
-  /// row. M != T is an eval-only shape (see tensor::ops::FusedSdpa).
-  tensor::Tensor ForwardRows(const tensor::Tensor& queries,
-                             const tensor::Tensor& x, core::Rng* rng) const;
+  /// Attention from rows `rows` of x (strictly ascending; null means
+  /// every row) over every row of `x` [T, D] -> [rows.size(), D], bitwise
+  /// those rows of Forward, with the same dropout draws. K and V project
+  /// every row, and so carry every row's gradient.
+  tensor::Tensor ForwardRows(const tensor::Tensor& x,
+                             const std::vector<int>* rows,
+                             core::Rng* rng) const;
 
   int num_heads() const { return num_heads_; }
 

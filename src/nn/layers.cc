@@ -52,6 +52,13 @@ tensor::Tensor DropoutLayer::Forward(const tensor::Tensor& x,
   return ops::Dropout(x, p_, rng);
 }
 
+tensor::Tensor DropoutLayer::ForwardRows(const tensor::Tensor& x,
+                                         core::Rng* rng, int mask_rows,
+                                         const std::vector<int>& rows) const {
+  if (!training() || p_ == 0.0f) return x;
+  return ops::DropoutRows(x, p_, rng, mask_rows, rows);
+}
+
 Mlp::Mlp(const std::vector<int>& dims, core::Rng* rng, float dropout)
     : dropout_(dropout) {
   PROMPTEM_CHECK(dims.size() >= 2);

@@ -68,6 +68,12 @@ class DropoutLayer : public Module {
 
   tensor::Tensor Forward(const tensor::Tensor& x, core::Rng* rng) const;
 
+  /// Forward over x holding rows `rows` of a [mask_rows, D] activation:
+  /// draws that activation's full mask (tensor::ops::DropoutRows).
+  tensor::Tensor ForwardRows(const tensor::Tensor& x, core::Rng* rng,
+                             int mask_rows,
+                             const std::vector<int>& rows) const;
+
   float p() const { return p_; }
 
  private:

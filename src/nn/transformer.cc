@@ -1,6 +1,5 @@
 #include "nn/transformer.h"
 
-#include "tensor/autograd.h"
 #include "text/vocab.h"
 
 #include <algorithm>
@@ -30,19 +29,21 @@ TransformerEncoderLayer::TransformerEncoderLayer(
 tensor::Tensor TransformerEncoderLayer::Forward(
     const tensor::Tensor& x, core::Rng* rng,
     const std::vector<int>* query_rows) const {
-  tensor::Tensor queries = x;
-  if (query_rows != nullptr) {
-    // A row subset would draw a shorter dropout stream and cut rows out
-    // of the graph, so only graph-free eval may take it.
-    PROMPTEM_CHECK_MSG(!training() && !tensor::GradEnabled(),
-                       "query rows need graph-free eval");
-    queries = ops::SelectRows(x, *query_rows);
-  }
-  tensor::Tensor attn_out =
-      dropout_.Forward(attn_.ForwardRows(queries, x, rng), rng);
-  tensor::Tensor h = ln1_.Forward(ops::Add(queries, attn_out));
-  tensor::Tensor ffn = ffn2_.Forward(ops::Gelu(ffn1_.Forward(h)));
-  ffn = dropout_.Forward(ffn, rng);
+  // With query rows, only they go past K and V. Each dropout draws its
+  // full [T, D] mask, in the full layer's order, and keeps the query
+  // rows', so the rng stream is the full layer's; AddRows sums the
+  // residual into x's gradient where the full layer's Add would.
+  const int t = x.dim(0);
+  const auto dropout = [&](const tensor::Tensor& y) {
+    return query_rows == nullptr
+               ? dropout_.Forward(y, rng)
+               : dropout_.ForwardRows(y, rng, t, *query_rows);
+  };
+  tensor::Tensor attn_out = dropout(attn_.ForwardRows(x, query_rows, rng));
+  tensor::Tensor h = ln1_.Forward(query_rows == nullptr
+                                      ? ops::Add(x, attn_out)
+                                      : ops::AddRows(x, *query_rows, attn_out));
+  tensor::Tensor ffn = dropout(ffn2_.Forward(ops::Gelu(ffn1_.Forward(h))));
   return ln2_.Forward(ops::Add(h, ffn));
 }
 

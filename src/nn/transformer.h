@@ -26,12 +26,14 @@ class TransformerEncoderLayer : public Module {
  public:
   TransformerEncoderLayer(const TransformerConfig& config, core::Rng* rng);
 
-  /// x: [T, D] -> [T, D]. With `query_rows`, returns only those rows
-  /// ([query_rows.size(), D]), bitwise equal to the same rows of the full
-  /// output: K and V still project every row, while Q, attention, the
-  /// out-projection, residuals, LayerNorms and the FFN run only over the
-  /// listed rows. Query rows need graph-free eval (grad mode off, no
-  /// dropout).
+  /// x: [T, D] -> [T, D]. With `query_rows` (strictly ascending),
+  /// returns only those rows ([query_rows.size(), D]), bitwise equal to
+  /// the same rows of the full output in every mode: K and V still
+  /// project every row, while attention, the out-projection, residuals,
+  /// LayerNorms and the FFN run only over the listed rows. Dropout draws
+  /// the full layer's masks and keeps the listed rows'. Under grad, every
+  /// parameter and x receive the full layer's gradient when the loss
+  /// reads only the listed rows (nn_test pins both).
   tensor::Tensor Forward(const tensor::Tensor& x, core::Rng* rng,
                          const std::vector<int>* query_rows = nullptr) const;
 
@@ -80,8 +82,8 @@ class TransformerEncoder : public Module {
   /// With `query_rows`, the last block computes only those rows and the
   /// result is [query_rows.size(), D], bitwise equal to the same rows of
   /// the full output. Heads that read one row (the [MASK] verbalizer, a
-  /// [CLS] classifier) pass it in graph-free eval; training and
-  /// MC-Dropout must not (see TransformerEncoderLayer::Forward).
+  /// [CLS] classifier) pass it in every mode: eval, MC-Dropout and
+  /// training (see TransformerEncoderLayer::Forward).
   tensor::Tensor EncodeEmbedded(
       const tensor::Tensor& embedded, core::Rng* rng,
       const std::vector<int>* query_rows = nullptr) const;

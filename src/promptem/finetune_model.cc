@@ -35,13 +35,8 @@ std::vector<int> FinetuneModel::BuildInputIds(const EncodedPair& x) const {
 tensor::Tensor FinetuneModel::Logits(const EncodedPair& x,
                                      core::Rng* rng) const {
   const std::vector<int> ids = BuildInputIds(x);
+  // The head reads only h_[CLS], so the last layer computes that one row.
   const std::vector<int> cls_row = {0};
-  if (training() || tensor::GradEnabled()) {
-    tensor::Tensor hidden = encoder_->Encode(ids, rng);
-    return head_->Forward(ops::SelectRows(hidden, cls_row));
-  }
-  // The head reads only h_[CLS], so in graph-free eval the last layer
-  // computes that one row.
   return head_->Forward(encoder_->Encode(ids, rng, &cls_row));
 }
 

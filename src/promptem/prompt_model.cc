@@ -124,12 +124,8 @@ tensor::Tensor PromptModel::MaskLogits(const EncodedPair& x,
                                        core::Rng* rng) const {
   int mask_pos = -1;
   tensor::Tensor embedded = BuildInputRows(x, prompt_rows, rng, &mask_pos);
-  if (training() || tensor::GradEnabled()) {
-    tensor::Tensor hidden = encoder_->EncodeEmbedded(embedded, rng);
-    return encoder_->MlmLogits(hidden, {mask_pos});
-  }
-  // The verbalizer reads only h_[MASK] (Eq. 1), so in graph-free eval the
-  // last layer computes that one row.
+  // The verbalizer reads only h_[MASK] (Eq. 1), so the last layer
+  // computes that one row.
   const std::vector<int> mask_row = {mask_pos};
   tensor::Tensor hidden = encoder_->EncodeEmbedded(embedded, rng, &mask_row);
   return encoder_->MlmLogits(hidden, {0});

@@ -57,8 +57,8 @@ class PromptModel : public nn::Module, public PairClassifier {
                                 core::Rng* rng, int* mask_pos) const;
 
   /// MLM logits at the [MASK] position for one templated pair: [1, vocab].
-  /// `prompt_rows` as for BuildInputRows. In graph-free eval the last
-  /// encoder layer computes only the [MASK] row.
+  /// `prompt_rows` as for BuildInputRows. The last encoder layer computes
+  /// only the [MASK] row.
   tensor::Tensor MaskLogits(const EncodedPair& x,
                             const tensor::Tensor& prompt_rows,
                             core::Rng* rng) const;

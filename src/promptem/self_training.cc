@@ -55,9 +55,11 @@ void TrainStudentWithPruning(PairClassifier* student,
   });
   loop.OnEpochHook([&](int epoch, core::Rng* hook_rng) -> size_t {
     // Dynamic data pruning: drop the N_D least-important samples (lowest
-    // MC-EL2N, Eq. 3) every `prune_every` epochs.
+    // MC-EL2N, Eq. 3) every `prune_every` epochs. No epoch follows the
+    // last one, so nothing would train on its pruned set.
     if (config.use_pruning && config.prune_every > 0 &&
-        epoch % config.prune_every == 0 && train_set->size() > 4) {
+        epoch % config.prune_every == 0 && epoch < loop_options.epochs &&
+        train_set->size() > 4) {
       const size_t n_d = static_cast<size_t>(
           config.prune_ratio * static_cast<double>(train_set->size()));
       if (n_d > 0) {

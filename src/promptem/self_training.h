@@ -38,7 +38,10 @@ struct SelfTrainingStats {
   TrainResult teacher_result;
   Metrics student_best_valid;
   PseudoLabelResult pseudo;      ///< last iteration's selection
-  int pruned_total = 0;          ///< samples removed by DDP
+  /// Samples removed by DDP. The student's last epoch never prunes (no
+  /// epoch would train on the result), so this counts only prunes a later
+  /// epoch trains on.
+  int pruned_total = 0;
   int64_t student_samples = 0;   ///< per-sample steps during student phase
   double teacher_seconds = 0.0;
   double student_seconds = 0.0;

@@ -29,12 +29,13 @@ class PairClassifier {
   virtual std::array<float, 2> Probs(const EncodedPair& x,
                                      core::Rng* rng) = 0;
 
-  /// Eval Probs for one scoring sweep, callable from every pool worker at
-  /// once. Built at the start of a sweep, with the model in eval mode, it
-  /// may hold values that depend only on the parameters, computed once
-  /// for the whole sweep (PromptModel's P-tuning prompt rows). Such values
-  /// go stale when the parameters change, so a scorer lives no longer
-  /// than its sweep. Each call returns bitwise what Probs would.
+  /// Probs for one scoring sweep, callable from every pool worker at
+  /// once. Built at the start of a sweep, in the mode the sweep runs in
+  /// (eval for ScoreBatch, training for the MC-Dropout passes), it may
+  /// hold values that depend only on the parameters, computed once for
+  /// the whole sweep (PromptModel's P-tuning prompt rows). Such values go
+  /// stale when the parameters change, so a scorer lives no longer than
+  /// its sweep. Each call returns bitwise what Probs would.
   using SweepScoreFn =
       std::function<std::array<float, 2>(const EncodedPair&, core::Rng*)>;
   virtual SweepScoreFn SweepScorer() {

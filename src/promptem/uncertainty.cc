@@ -9,22 +9,23 @@ namespace promptem::em {
 
 namespace {
 
-/// The stochastic core: K dropout passes of P over one sample, pass i
-/// seeded from the i-th draw of Rng(base_seed). Passes are independent, so
-/// the graph-free engine fans them out across the pool (inline when
+/// The stochastic core: K dropout passes of `score` over one sample, pass
+/// i seeded from the i-th draw of Rng(base_seed). Passes are independent,
+/// so the graph-free engine fans them out across the pool (inline when
 /// already inside a sample-level parallel region); the returned
-/// probabilities are in pass order either way. Assumes training mode is
-/// already on.
-std::vector<std::array<float, 2>> RunMcPasses(PairClassifier* model,
-                                              const EncodedPair& x,
-                                              int passes,
-                                              uint64_t base_seed) {
+/// probabilities are in pass order either way. `score` is a
+/// PairClassifier::SweepScorer built after training mode went on, so
+/// whatever it precomputes (the prompt model's prompt rows, which draw no
+/// randomness) is computed once per call rather than once per pass.
+std::vector<std::array<float, 2>> RunMcPasses(
+    const PairClassifier::SweepScoreFn& score, const EncodedPair& x,
+    int passes, uint64_t base_seed) {
   std::vector<uint64_t> seeds(static_cast<size_t>(passes));
   core::Rng seeder(base_seed);
   for (auto& s : seeds) s = seeder.NextU64();
   return ScoreIndexed(passes,
                       [&](int64_t, core::Rng* pass_rng) {
-                        return model->Probs(x, pass_rng);
+                        return score(x, pass_rng);
                       },
                       seeds);
 }
@@ -66,7 +67,8 @@ McEstimate McDropoutEstimate(PairClassifier* model, const EncodedPair& x,
                              int passes, core::Rng* rng) {
   PROMPTEM_CHECK(passes >= 1);
   ScopedTrainingMode training(model->AsModule());
-  return EstimateFromPasses(RunMcPasses(model, x, passes, rng->NextU64()));
+  return EstimateFromPasses(
+      RunMcPasses(model->SweepScorer(), x, passes, rng->NextU64()));
 }
 
 float McEl2nScore(PairClassifier* model, const EncodedPair& x, int label,
@@ -74,8 +76,8 @@ float McEl2nScore(PairClassifier* model, const EncodedPair& x, int label,
   PROMPTEM_CHECK(passes >= 1);
   PROMPTEM_CHECK(label == 0 || label == 1);
   ScopedTrainingMode training(model->AsModule());
-  return El2nFromPasses(RunMcPasses(model, x, passes, rng->NextU64()),
-                        label);
+  return El2nFromPasses(
+      RunMcPasses(model->SweepScorer(), x, passes, rng->NextU64()), label);
 }
 
 std::vector<McEstimate> McDropoutEstimateBatch(
@@ -83,13 +85,14 @@ std::vector<McEstimate> McDropoutEstimateBatch(
     core::Rng* rng) {
   PROMPTEM_CHECK(passes >= 1);
   ScopedTrainingMode training(model->AsModule());
+  const PairClassifier::SweepScoreFn score = model->SweepScorer();
   std::vector<uint64_t> seeds(xs.size());
   for (auto& s : seeds) s = rng->NextU64();
   std::vector<McEstimate> estimates(xs.size());
   ForEachGraphFree(static_cast<int64_t>(xs.size()), [&](int64_t i) {
     const size_t idx = static_cast<size_t>(i);
     estimates[idx] = EstimateFromPasses(
-        RunMcPasses(model, xs[idx], passes, seeds[idx]));
+        RunMcPasses(score, xs[idx], passes, seeds[idx]));
   });
   return estimates;
 }
@@ -110,13 +113,14 @@ std::vector<float> McEl2nScoreBatch(PairClassifier* model,
                        "McEl2nScoreBatch requires labeled pairs");
   }
   ScopedTrainingMode training(model->AsModule());
+  const PairClassifier::SweepScoreFn score = model->SweepScorer();
   std::vector<uint64_t> seeds(xs.size());
   for (auto& s : seeds) s = rng->NextU64();
   std::vector<float> scores(xs.size());
   ForEachGraphFree(static_cast<int64_t>(xs.size()), [&](int64_t i) {
     const size_t idx = static_cast<size_t>(i);
     scores[idx] = El2nFromPasses(
-        RunMcPasses(model, xs[idx], passes, seeds[idx]), xs[idx].label);
+        RunMcPasses(score, xs[idx], passes, seeds[idx]), xs[idx].label);
   });
   return scores;
 }

@@ -426,31 +426,53 @@ Tensor Log(const Tensor& x) {
       [](float in, float) { return 1.0f / std::max(in, 1e-12f); });
 }
 
-Tensor Dropout(const Tensor& x, float p, core::Rng* rng) {
+namespace {
+
+/// Inverted dropout over `x` holding rows `rows` (strictly ascending; null
+/// means every row) of a [mask_rows, cols] activation. The mask is drawn
+/// for every element of the full activation, row-major; the draws of
+/// rows outside `rows` are discarded.
+Tensor DropoutOverRows(const Tensor& x, float p, core::Rng* rng,
+                       int mask_rows, const std::vector<int>* rows,
+                       int64_t cols) {
   PROMPTEM_CHECK(p >= 0.0f && p < 1.0f);
   if (p == 0.0f) return x;
   PROMPTEM_CHECK(rng != nullptr);
-  const int64_t n = x.numel();
+  const int m = rows == nullptr ? mask_rows : static_cast<int>(rows->size());
+  PROMPTEM_CHECK(m * cols == x.numel());
+  const uint64_t threshold = core::Rng::BernoulliThreshold(p);
   const float keep_scale = 1.0f / (1.0f - p);
+  const int64_t n = x.numel();
   Tensor out = Tensor::Zeros(x.shape());
   const float* px = x.data();
   float* po = out.data();
-  if (!Track(x)) {
-    // Graph-free path (MC-Dropout scoring): apply the mask on the fly
-    // without materializing it. The Bernoulli draw order matches the
-    // tracked path exactly, so a pass's dropout pattern depends only on
-    // its rng stream, never on grad mode.
-    for (int64_t i = 0; i < n; ++i) {
-      po[i] = rng->Bernoulli(p) ? 0.0f : px[i] * keep_scale;
+  const bool track = Track(x);
+  // Tracked passes keep the kept rows' mask for the backward; graph-free
+  // ones (MC-Dropout) apply it on the fly and write a dropped element as
+  // +0. The draws, and so the pass's dropout pattern, are the same either
+  // way.
+  std::shared_ptr<std::vector<float>> mask;
+  if (track) mask = std::make_shared<std::vector<float>>(n);
+  int64_t next = 0;
+  for (int r = 0; r < mask_rows; ++r) {
+    if (rows != nullptr && (next == m || (*rows)[next] != r)) {
+      for (int64_t c = 0; c < cols; ++c) rng->NextU64();
+      continue;
     }
-    return out;
+    const int64_t base = next * cols;
+    for (int64_t c = 0; c < cols; ++c) {
+      const bool drop = rng->BernoulliBelow(threshold);
+      if (track) {
+        (*mask)[base + c] = drop ? 0.0f : keep_scale;
+        po[base + c] = px[base + c] * (*mask)[base + c];
+      } else {
+        po[base + c] = drop ? 0.0f : px[base + c] * keep_scale;
+      }
+    }
+    ++next;
   }
-  auto mask = std::make_shared<std::vector<float>>(n);
-  for (int64_t i = 0; i < n; ++i) {
-    (*mask)[i] = rng->Bernoulli(p) ? 0.0f : keep_scale;
-  }
-  for (int64_t i = 0; i < n; ++i) po[i] = px[i] * (*mask)[i];
-  {
+  PROMPTEM_CHECK_MSG(next == m, "dropout rows must ascend within mask rows");
+  if (track) {
     auto xi = x.impl();
     TensorImpl* oi = out.impl().get();
     Attach(&out, {x}, [xi, oi, n, mask]() {
@@ -461,6 +483,19 @@ Tensor Dropout(const Tensor& x, float p, core::Rng* rng) {
     });
   }
   return out;
+}
+
+}  // namespace
+
+Tensor Dropout(const Tensor& x, float p, core::Rng* rng) {
+  // Any shape, as one row.
+  return DropoutOverRows(x, p, rng, 1, nullptr, x.numel());
+}
+
+Tensor DropoutRows(const Tensor& x, float p, core::Rng* rng, int mask_rows,
+                   const std::vector<int>& rows) {
+  PROMPTEM_CHECK(x.ndim() == 2 && x.dim(0) == static_cast<int>(rows.size()));
+  return DropoutOverRows(x, p, rng, mask_rows, &rows, x.dim(1));
 }
 
 Tensor EmbeddingLookup(const Tensor& table, const std::vector<int>& ids) {
@@ -520,6 +555,47 @@ Tensor SelectRows(const Tensor& x, const std::vector<int>& rows) {
         kernels::AxpyOne(g + static_cast<int64_t>(i) * cols,
                          gx + static_cast<int64_t>((*rows_copy)[i]) * cols,
                          cols);
+      }
+    });
+  }
+  return out;
+}
+
+Tensor AddRows(const Tensor& a, const std::vector<int>& rows,
+               const Tensor& b) {
+  PROMPTEM_CHECK(a.ndim() == 2 && b.ndim() == 2 && a.dim(1) == b.dim(1));
+  PROMPTEM_CHECK(b.dim(0) == static_cast<int>(rows.size()));
+  const int cols = a.dim(1);
+  Tensor out = Tensor::Zeros(b.shape());
+  const float* pa = a.data();
+  const float* pb = b.data();
+  float* po = out.data();
+  for (size_t i = 0; i < rows.size(); ++i) {
+    PROMPTEM_CHECK(rows[i] >= 0 && rows[i] < a.dim(0));
+    const float* arow = pa + static_cast<int64_t>(rows[i]) * cols;
+    const int64_t base = static_cast<int64_t>(i) * cols;
+    for (int c = 0; c < cols; ++c) po[base + c] = arow[c] + pb[base + c];
+  }
+  if (Track(a, b)) {
+    auto ai = a.impl();
+    auto bi = b.impl();
+    TensorImpl* oi = out.impl().get();
+    auto rows_copy = std::make_shared<std::vector<int>>(rows);
+    const int64_t n = out.numel();
+    Attach(&out, {a, b}, [ai, bi, oi, cols, n, rows_copy]() {
+      const float* g = oi->grad_data();
+      if (ai->requires_grad) {
+        ai->EnsureGrad();
+        float* ga = ai->grad_data();
+        for (size_t i = 0; i < rows_copy->size(); ++i) {
+          kernels::AxpyOne(g + static_cast<int64_t>(i) * cols,
+                           ga + static_cast<int64_t>((*rows_copy)[i]) * cols,
+                           cols);
+        }
+      }
+      if (bi->requires_grad) {
+        bi->EnsureGrad();
+        kernels::AxpyOne(g, bi->grad_data(), n);
       }
     });
   }

@@ -65,12 +65,27 @@ Tensor Log(const Tensor& x);
 /// With p == 0 returns the input unchanged.
 Tensor Dropout(const Tensor& x, float p, core::Rng* rng);
 
+/// Dropout over x [rows.size(), D], rows `rows` (strictly ascending) of
+/// a [mask_rows, D] activation: draws the full activation's mask, in the
+/// order Dropout would, and applies row rows[i] of it to x's row i. The
+/// other rows' draws are discarded, so the rng stream, and the masks of
+/// the kept rows, are those of the full-activation Dropout.
+Tensor DropoutRows(const Tensor& x, float p, core::Rng* rng, int mask_rows,
+                   const std::vector<int>& rows);
+
 /// Gathers rows of `table` [V,D] at token ids -> [ids.size(), D].
 /// Backward scatter-adds into the table rows.
 Tensor EmbeddingLookup(const Tensor& table, const std::vector<int>& ids);
 
 /// Gathers rows of x at `rows` -> [rows.size(), cols].
 Tensor SelectRows(const Tensor& x, const std::vector<int>& rows);
+
+/// out[i] = a[rows[i]] + b[i] -> b's shape: a residual over a row
+/// subset. The backward adds out's gradient straight into a's rows, so
+/// a's gradient sums it at the same point of the backward as a full-row
+/// Add(a, b) would.
+Tensor AddRows(const Tensor& a, const std::vector<int>& rows,
+               const Tensor& b);
 
 /// Gathers columns of x at `cols` -> [rows, cols.size()].
 Tensor SelectCols(const Tensor& x, const std::vector<int>& cols);
@@ -88,9 +103,14 @@ Tensor SliceCols(const Tensor& x, int col_begin, int count);
 /// [h*head_dim, (h+1)*head_dim). Returns the packed [M, D] context
 /// (softmax(scale * Q_h K_h^T) with dropout, times V_h, written directly
 /// into head h's column block). Row i of the result depends only on row i
-/// of q, bitwise, so a query-row subset (M != T) yields exactly those rows
-/// of the full result; it is allowed only graph-free (no input tracked
-/// under grad mode) with dropout_p == 0.
+/// of q, bitwise, so a query-row subset (M < T) yields exactly those rows
+/// of the full result, in every mode. `q_rows` names each query row's
+/// position among the T keys (strictly ascending): query row i takes the
+/// dropout mask row of position q_rows[i]. Without it, dropout needs
+/// M == T (row i at position i); dropout-free passes take any M. The
+/// backward's dS is [M, T]: dQ covers the M rows, and dK and dV sum only
+/// their terms, which is bitwise what the full pass sums when the other
+/// rows' output gradient is zero.
 ///
 /// One tiled pass per (head, row-tile) — parallelized via
 /// core::ParallelFor with a pool-size-independent decomposition — reads
@@ -98,9 +118,10 @@ Tensor SliceCols(const Tensor& x, int col_begin, int count);
 /// softmax so score tiles stay cache-resident, and applies inverted
 /// dropout with keep-scale 1/(1-p). The Bernoulli mask is pre-drawn from
 /// `rng` in the exact order the unfused per-op composition draws it
-/// (head-major, then row-major over the [T, T] score matrix), so masks
-/// are bit-identical to that path and independent of the pool size.
-/// `rng` may be null when dropout_p == 0.
+/// (head-major, then row-major over the full [T, T] score matrix, draws
+/// of non-query rows discarded), so masks are bit-identical to that path
+/// and independent of the pool size. `rng` may be null when
+/// dropout_p == 0.
 ///
 /// Under grad mode the result carries a single hand-written backward that
 /// reuses cached softmax rows and the seeded mask; with grad mode off the
@@ -108,7 +129,7 @@ Tensor SliceCols(const Tensor& x, int col_begin, int count);
 /// draws from the thread's ScratchArena when one is installed.
 Tensor FusedSdpa(const Tensor& q, const Tensor& k, const Tensor& v,
                  int num_heads, float scale, float dropout_p,
-                 core::Rng* rng);
+                 core::Rng* rng, const std::vector<int>* q_rows = nullptr);
 
 /// Vertically stacks tensors with equal column counts.
 Tensor ConcatRows(const std::vector<Tensor>& parts);

@@ -24,7 +24,10 @@
 // PROMPTEM_NUM_THREADS. A query row's chain of GEMM, online-max and
 // normalize steps never reads another query row, so row i of an M-row
 // pass is bitwise the one-row pass over q's row i (property_test pins
-// this); graph-free eval relies on it to attend from a row subset.
+// this); the encoder's last layer relies on it to attend from only the
+// rows its head reads, in every mode. The dropout mask is drawn for the
+// full [T, T] score matrix and the backward's dS is [M, T]: an unread
+// query row would only have added exact zeros to dK and dV.
 
 #include <algorithm>
 #include <cmath>
@@ -67,8 +70,9 @@ void AttachNode(Tensor* out, std::vector<Tensor> parents,
 /// views of the head's column block; `kt_h` is the head's pre-transposed
 /// [hd, t] key panel (row stride t), which turns the score tile into a
 /// plain NN GEMM — the unit-stride axpy kernel, ~4x the throughput of
-/// the dot-product NT case. `mask` / `p_cache` are this head's [T, T]
-/// slices (null when dropout is off / grad is off). Task scratch: `tile`
+/// the dot-product NT case. `mask` / `p_cache` are this head's [M, T]
+/// slices, row i for query row i (null when dropout is off / grad is
+/// off). Task scratch: `tile`
 /// is [kSdpaRowTile, kSdpaKeyTile] (scores, then probabilities, in
 /// place), `acc` is [kSdpaRowTile, hd], `mvec`/`lvec` hold each row's
 /// running max and denominator. `out_head` is the head's column block of
@@ -149,7 +153,7 @@ void SdpaForwardTile(const ConstMatView& qh, const float* kt_h,
 
 Tensor FusedSdpa(const Tensor& q, const Tensor& k, const Tensor& v,
                  int num_heads, float scale, float dropout_p,
-                 core::Rng* rng) {
+                 core::Rng* rng, const std::vector<int>* q_rows) {
   PROMPTEM_CHECK(q.ndim() == 2 && k.ndim() == 2 && v.ndim() == 2);
   PROMPTEM_CHECK(SameShape(k.shape(), v.shape()) && q.dim(1) == k.dim(1));
   const int m = q.dim(0);
@@ -161,35 +165,59 @@ Tensor FusedSdpa(const Tensor& q, const Tensor& k, const Tensor& v,
   const int row_tiles = (m + kSdpaRowTile - 1) / kSdpaRowTile;
   const int64_t tasks = static_cast<int64_t>(num_heads) * row_tiles;
 
+  // Query row i sits at position pos(i) of the key sequence. Only the
+  // dropout mask reads positions, so without q_rows any M runs dropout-
+  // free (and with dropout, M == T).
+  const auto pos = [q_rows](int i) {
+    return q_rows == nullptr ? i : (*q_rows)[static_cast<size_t>(i)];
+  };
+  if (q_rows != nullptr) {
+    PROMPTEM_CHECK(static_cast<int>(q_rows->size()) == m);
+    for (int i = 0; i < m; ++i) {
+      PROMPTEM_CHECK_MSG(pos(i) < t && (i == 0 ? pos(i) >= 0
+                                               : pos(i) > pos(i - 1)),
+                         "FusedSdpa: query rows must ascend within k rows");
+    }
+  }
+  PROMPTEM_CHECK_MSG(q_rows != nullptr || m == t || dropout_p == 0.0f,
+                     "FusedSdpa: dropout over a query subset needs q_rows");
+
   const bool track =
       GradEnabled() &&
       (q.requires_grad() || k.requires_grad() || v.requires_grad());
-  // The backward and the dropout mask are laid out over a square [T, T]
-  // score matrix, so a query-row subset is an eval-only shape.
-  PROMPTEM_CHECK_MSG(m == t || (!track && dropout_p == 0.0f),
-                     "FusedSdpa: q rows != k rows needs graph-free eval "
-                     "without dropout");
 
   // Pre-draw the dropout mask sequentially, in the exact order the
   // unfused composition consumes `rng` (head-major, row-major within each
   // head's [T, T] attention matrix): the parallel pass below must not
-  // touch the stream. Allocated as a tensor so an installed ScratchArena
-  // recycles it on graph-free MC-Dropout passes.
+  // touch the stream. Every row is drawn and only the query rows' draws
+  // are kept, as head h's [M, T] slice, so the stream and those rows'
+  // masks are the full pass's. Allocated as a tensor so an installed
+  // ScratchArena recycles it on graph-free MC-Dropout passes.
   Tensor mask;
   if (dropout_p > 0.0f) {
     PROMPTEM_CHECK(rng != nullptr);
+    const uint64_t threshold = core::Rng::BernoulliThreshold(dropout_p);
     const float keep_scale = 1.0f / (1.0f - dropout_p);
-    mask = Tensor::Zeros({num_heads * t, t});
+    mask = Tensor::Zeros({num_heads * m, t});
     float* mp = mask.data();
-    const int64_t n = static_cast<int64_t>(num_heads) * t * t;
-    for (int64_t i = 0; i < n; ++i) {
-      mp[i] = rng->Bernoulli(dropout_p) ? 0.0f : keep_scale;
+    for (int h = 0; h < num_heads; ++h) {
+      int next = 0;
+      for (int r = 0; r < t; ++r) {
+        if (next == m || pos(next) != r) {
+          for (int j = 0; j < t; ++j) rng->NextU64();
+          continue;
+        }
+        for (int j = 0; j < t; ++j) {
+          *mp++ = rng->BernoulliBelow(threshold) ? 0.0f : keep_scale;
+        }
+        ++next;
+      }
     }
   }
 
   // Softmax rows cached for the hand-written backward (train mode only).
   Tensor p_cache;
-  if (track) p_cache = Tensor::Zeros({num_heads * t, t});
+  if (track) p_cache = Tensor::Zeros({num_heads * m, t});
 
   Tensor out = Tensor::Zeros({m, d});
   // Per-task workspace (score/probability tile + output accumulator +
@@ -209,7 +237,7 @@ Tensor FusedSdpa(const Tensor& q, const Tensor& k, const Tensor& v,
   float* ws = workspace.data();
   float* kt_data = k_t.data();
   const float* k_data = k.data();
-  const int64_t head_elems = static_cast<int64_t>(t) * t;
+  const int64_t head_elems = static_cast<int64_t>(m) * t;
 
   core::ParallelFor(0, num_heads, 1, [&](int64_t hb, int64_t he) {
     for (int64_t h = hb; h < he; ++h) {
@@ -250,7 +278,7 @@ Tensor FusedSdpa(const Tensor& q, const Tensor& k, const Tensor& v,
   auto ki = k.impl();
   auto vi = v.impl();
   TensorImpl* oi = out.impl().get();
-  AttachNode(&out, {q, k, v}, [qi, ki, vi, oi, p_cache, mask, t, d,
+  AttachNode(&out, {q, k, v}, [qi, ki, vi, oi, p_cache, mask, m, t, d,
                                num_heads, hd, scale]() {
     const float* dout = oi->grad_data();
     // Resolve grad sinks once on the backward thread: GradShard scopes
@@ -275,9 +303,9 @@ Tensor FusedSdpa(const Tensor& q, const Tensor& k, const Tensor& v,
     const float* vd = vi->storage->data();
     const float* mk = mask.defined() ? mask.data() : nullptr;
     const float* cache = p_cache.data();
-    const int64_t head_elems = static_cast<int64_t>(t) * t;
-    // Per-head scratch: dS (score-shaped) plus, under dropout, the
-    // masked probabilities A = mask .* P.
+    const int64_t head_elems = static_cast<int64_t>(m) * t;
+    // Per-head scratch: dS ([M, T], score-shaped) plus, under dropout,
+    // the masked probabilities A = mask .* P.
     const int64_t per_head = (mk == nullptr ? 1 : 2) * head_elems;
     std::vector<float> scratch(static_cast<size_t>(num_heads) * per_head);
     // Heads write disjoint column blocks of dq/dk/dv, so the parallel
@@ -298,15 +326,15 @@ Tensor FusedSdpa(const Tensor& q, const Tensor& k, const Tensor& v,
           a = masked;
         }
         if (dv != nullptr) {
-          kernels::GemmStrided(true, false, t, hd, t, 1.0f, a, t, doh, d,
+          kernels::GemmStrided(true, false, t, hd, m, 1.0f, a, t, doh, d,
                                1.0f, dv + h * hd, d);
         }
         if (dq == nullptr && dk == nullptr) continue;
         // dA = dO_h V_h^T, then dP = mask .* dA, then the softmax
         // backward dS = P .* (dP - rowsum(dP .* P)), all in one buffer.
-        kernels::GemmStrided(false, true, t, t, hd, 1.0f, doh, d,
+        kernels::GemmStrided(false, true, m, t, hd, 1.0f, doh, d,
                              vd + h * hd, d, 0.0f, dS, t);
-        for (int i = 0; i < t; ++i) {
+        for (int i = 0; i < m; ++i) {
           const float* pi = P + static_cast<int64_t>(i) * t;
           float* dsi = dS + static_cast<int64_t>(i) * t;
           if (mh != nullptr) {
@@ -318,11 +346,11 @@ Tensor FusedSdpa(const Tensor& q, const Tensor& k, const Tensor& v,
           for (int j = 0; j < t; ++j) dsi[j] = pi[j] * (dsi[j] - dot);
         }
         if (dq != nullptr) {
-          kernels::GemmStrided(false, false, t, hd, t, scale, dS, t,
+          kernels::GemmStrided(false, false, m, hd, t, scale, dS, t,
                                kd + h * hd, d, 1.0f, dq + h * hd, d);
         }
         if (dk != nullptr) {
-          kernels::GemmStrided(true, false, t, hd, t, scale, dS, t,
+          kernels::GemmStrided(true, false, t, hd, m, scale, dS, t,
                                qd + h * hd, d, 1.0f, dk + h * hd, d);
         }
       }

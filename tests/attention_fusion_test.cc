@@ -11,6 +11,7 @@
 
 #include <cmath>
 #include <cstring>
+#include <functional>
 #include <map>
 #include <string>
 #include <vector>
@@ -228,6 +229,58 @@ TEST(FusedSdpaTest, GradientParityForInputsAtOpLevel) {
   EXPECT_LE(MaxAbsDiff(q1.grad(), q2.grad(), q1.numel()), 1e-4f);
   EXPECT_LE(MaxAbsDiff(k1.grad(), k2.grad(), k1.numel()), 1e-4f);
   EXPECT_LE(MaxAbsDiff(v1.grad(), v2.grad(), v1.numel()), 1e-4f);
+}
+
+/// Central-difference check of d loss / d x for each x in `inputs`
+/// against the analytic gradient; `loss` rebuilds the graph from the
+/// current input values (and must draw any dropout mask afresh from the
+/// same seed).
+void CheckGradients(const std::vector<Tensor>& inputs,
+                    const std::function<Tensor()>& loss, float tolerance) {
+  for (const Tensor& x : inputs) {
+    Tensor(x).ZeroGrad();
+  }
+  loss().Backward();
+  const float h = 1e-3f;
+  for (size_t n = 0; n < inputs.size(); ++n) {
+    Tensor x = inputs[n];
+    const std::vector<float> analytic(x.grad(), x.grad() + x.numel());
+    for (int64_t i = 0; i < x.numel(); ++i) {
+      const float original = x.data()[i];
+      x.data()[i] = original + h;
+      const float up = loss().item();
+      x.data()[i] = original - h;
+      const float down = loss().item();
+      x.data()[i] = original;
+      EXPECT_NEAR(analytic[static_cast<size_t>(i)], (up - down) / (2.0f * h),
+                  tolerance)
+          << "input " << n << " at flat index " << i;
+    }
+  }
+}
+
+// The M < T backward: dQ over the query rows, dK and dV over every key,
+// with the dropout mask rows of the query positions.
+TEST(FusedSdpaTest, QueryRowSubsetGradCheck) {
+  const int t = 9, d = 8, heads = 2;
+  const float scale = 1.0f / std::sqrt(4.0f);
+  const std::vector<int> rows = {1, 4, 8};
+  for (float p : {0.0f, 0.3f}) {
+    SCOPED_TRACE(p);
+    Tensor q = RandomTensor({static_cast<int>(rows.size()), d}, 34, true);
+    Tensor k = RandomTensor({t, d}, 35, true);
+    Tensor v = RandomTensor({t, d}, 36, true);
+    const Tensor w = RandomTensor({static_cast<int>(rows.size()), d}, 37);
+    CheckGradients({q, k, v},
+                   [&] {
+                     core::Rng rng(11);
+                     return ops::Sum(ops::Mul(
+                         ops::FusedSdpa(q, k, v, heads, scale, p, &rng,
+                                        &rows),
+                         w));
+                   },
+                   2e-2f);
+  }
 }
 
 /// Snapshot of every parameter gradient plus the input gradient.

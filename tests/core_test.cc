@@ -1,6 +1,8 @@
 // Tests for the core substrate: status/result, rng, strings, formatting,
 // memory tracking, and table printing.
 
+#include <cmath>
+#include <cstdint>
 #include <set>
 
 #include <gtest/gtest.h>
@@ -105,6 +107,34 @@ TEST(RngTest, BernoulliRate) {
   int hits = 0;
   for (int i = 0; i < 10000; ++i) hits += rng.Bernoulli(0.3);
   EXPECT_NEAR(hits / 10000.0, 0.3, 0.03);
+}
+
+TEST(RngTest, IntegerBernoulliMatchesDoubleCompare) {
+  // Edge probabilities: never, the smallest non-zero, the dropout rate,
+  // a half, and the largest below one.
+  const double kTwoM53 = 1.0 / 9007199254740992.0;
+  for (const double p : {0.0, kTwoM53, 0.1, 0.5, 1.0 - kTwoM53}) {
+    SCOPED_TRACE(p);
+    const uint64_t threshold = Rng::BernoulliThreshold(p);
+    Rng by_double(29);
+    Rng by_integer(29);
+    for (int i = 0; i < 1000000; ++i) {
+      ASSERT_EQ(by_double.Bernoulli(p), by_integer.BernoulliBelow(threshold))
+          << "draw " << i;
+    }
+    // Random draws rarely land next to the cut, so check it directly:
+    // the 53-bit values just below and at the threshold.
+    for (uint64_t x : {threshold - 1, threshold, threshold + 1}) {
+      if (x >= (uint64_t{1} << 53)) continue;
+      EXPECT_EQ(static_cast<double>(x) * kTwoM53 < p, x < threshold)
+          << "x=" << x;
+    }
+  }
+  // The float rate dropout passes, widened as Bernoulli widens it.
+  EXPECT_EQ(Rng::BernoulliThreshold(0.1f),
+            static_cast<uint64_t>(std::ceil(static_cast<double>(0.1f) *
+                                            9007199254740992.0)));
+  EXPECT_EQ(Rng::BernoulliThreshold(1.0), uint64_t{1} << 53);
 }
 
 TEST(RngTest, ShufflePreservesElements) {

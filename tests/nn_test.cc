@@ -6,6 +6,7 @@
 #include <cstdio>
 #include <cstring>
 #include <map>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -18,6 +19,7 @@
 #include "nn/serialize.h"
 #include "nn/transformer.h"
 #include "tensor/autograd.h"
+#include "tensor/kernels.h"
 #include "tensor/ops.h"
 #include "text/vocab.h"
 
@@ -253,39 +255,161 @@ TEST(TransformerTest, RejectsOverlongSequence) {
   EXPECT_DEATH(enc.Encode(ids, &rng), "max_seq_len");
 }
 
-TEST(TransformerTest, QueryRowsRequireGraphFreeEval) {
-  // The first layer runs pool-parallel kernels before the last layer
-  // checks, and a forked child has no pool workers: re-exec instead.
-  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-  core::Rng rng(1);
-  TransformerEncoder enc(TinyConfig(), &rng);
-  const std::vector<int> rows = {0};
-  enc.SetTraining(false);
-  EXPECT_DEATH(enc.Encode({5, 6, 7}, &rng, &rows), "graph-free eval");
-  tensor::NoGradGuard no_grad;
-  enc.SetTraining(true);
-  EXPECT_DEATH(enc.Encode({5, 6, 7}, &rng, &rows), "graph-free eval");
+/// Parameter gradients of `module`, by name.
+std::map<std::string, std::vector<float>> ParamGrads(const Module& module) {
+  std::map<std::string, std::vector<float>> out;
+  for (const auto& np : module.NamedParameters()) {
+    out[np.name].assign(np.param.grad(), np.param.grad() + np.param.numel());
+  }
+  return out;
 }
 
-TEST(FusedSdpaShapeTest, QueryRowSubsetRejectedUnderGradOrDropout) {
-  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-  core::Rng rng(3);
-  tensor::Tensor q = tensor::Tensor::Zeros({2, 8});
-  tensor::Tensor k = tensor::Tensor::Zeros({5, 8});
-  tensor::Tensor v = tensor::Tensor::Zeros({5, 8});
-  NormalInit(&q, 1.0f, &rng);
-  NormalInit(&k, 1.0f, &rng);
-  NormalInit(&v, 1.0f, &rng);
-  // Graph-free, no dropout: the [2, 8] context is allowed.
-  {
-    tensor::NoGradGuard no_grad;
-    EXPECT_EQ(ops::FusedSdpa(q, k, v, 2, 0.5f, 0.0f, nullptr).dim(0), 2);
-    EXPECT_DEATH(ops::FusedSdpa(q, k, v, 2, 0.5f, 0.1f, &rng),
-                 "q rows != k rows");
+/// Fixed loss weights for a [rows, cols] output.
+tensor::Tensor LossWeights(int rows, int cols) {
+  tensor::Tensor w = tensor::Tensor::Zeros({rows, cols});
+  core::Rng rng(7);
+  NormalInit(&w, 1.0f, &rng);
+  return w;
+}
+
+/// Expects equal (as floats) gradients under every name.
+void ExpectSameGrads(const std::map<std::string, std::vector<float>>& got,
+                     const std::map<std::string, std::vector<float>>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (const auto& [name, grad] : want) {
+    const std::vector<float>& g = got.at(name);
+    ASSERT_EQ(g.size(), grad.size()) << name;
+    int mismatches = 0;
+    for (size_t i = 0; i < g.size(); ++i) mismatches += g[i] != grad[i];
+    EXPECT_EQ(mismatches, 0) << name;
   }
-  k.set_requires_grad(true);
-  EXPECT_DEATH(ops::FusedSdpa(q, k, v, 2, 0.5f, 0.0f, nullptr),
-               "q rows != k rows");
+}
+
+struct RowPass {
+  uint32_t loss_bits = 0;
+  std::map<std::string, std::vector<float>> grads;
+  uint64_t next_draw = 0;  ///< the dropout stream's position afterwards
+};
+
+/// One training step's forward and backward over `ids`, with a loss that
+/// reads only `rows` of the encoder output. `one_row` passes the rows to
+/// the encoder; otherwise it computes every row and selects after.
+RowPass RunRowPass(TransformerEncoder* enc, const std::vector<int>& ids,
+                   const std::vector<int>& rows, bool one_row) {
+  enc->ZeroGrad();
+  core::Rng rng(123);
+  const tensor::Tensor out =
+      one_row ? enc->Encode(ids, &rng, &rows)
+              : ops::SelectRows(enc->Encode(ids, &rng), rows);
+  tensor::Tensor loss = ops::Sum(ops::Mul(
+      out, LossWeights(static_cast<int>(rows.size()), out.dim(1))));
+  loss.Backward();
+  RowPass pass;
+  const float value = loss.item();
+  std::memcpy(&pass.loss_bits, &value, sizeof(value));
+  pass.grads = ParamGrads(*enc);
+  pass.next_draw = rng.NextU64();
+  return pass;
+}
+
+TEST(TransformerTest, QueryRowsMatchFullLayerUnderGradAndDropout) {
+  // The fixture LM's layout; T spans one to three attention row tiles.
+  TransformerConfig config;
+  config.vocab_size = 70;
+  config.max_seq_len = 96;
+  config.dim = 32;
+  config.num_layers = 2;
+  config.num_heads = 2;
+  config.ffn_dim = 64;
+  config.dropout = 0.3f;
+  core::Rng init(9);
+  TransformerEncoder enc(config, &init);
+  enc.Train();
+  for (tensor::kernels::KernelVariant variant :
+       {tensor::kernels::KernelVariant::kScalar,
+        tensor::kernels::KernelVariant::kAvx2}) {
+    tensor::kernels::ScopedKernelVariant scoped(variant);
+    SCOPED_TRACE(tensor::kernels::KernelVariantName(
+        tensor::kernels::ActiveKernelVariant()));
+    for (int t : {5, 37, 90}) {
+      core::Rng id_rng(static_cast<uint64_t>(t));
+      std::vector<int> ids(static_cast<size_t>(t));
+      for (int& id : ids) {
+        id = static_cast<int>(id_rng.NextU64(config.vocab_size));
+      }
+      for (const std::vector<int>& rows : std::vector<std::vector<int>>{
+               {0}, {t - 1}, {1, t / 2, t - 1}}) {
+        SCOPED_TRACE("t=" + std::to_string(t) + " rows=" +
+                     std::to_string(rows.size()) + " first=" +
+                     std::to_string(rows[0]));
+        const RowPass full = RunRowPass(&enc, ids, rows, false);
+        const RowPass one_row = RunRowPass(&enc, ids, rows, true);
+        EXPECT_EQ(one_row.loss_bits, full.loss_bits);
+        EXPECT_EQ(one_row.next_draw, full.next_draw);
+        ExpectSameGrads(one_row.grads, full.grads);
+      }
+    }
+  }
+}
+
+TEST(FusedSdpaShapeTest, QueryRowSubsetMatchesFullPassUnderGradAndDropout) {
+  const int t = 37, d = 16, heads = 2;
+  const float scale = 1.0f / std::sqrt(8.0f);
+  const std::vector<int> rows = {2, 20, 36};
+  const int m = static_cast<int>(rows.size());
+  const tensor::Tensor w = LossWeights(m, d);
+  for (tensor::kernels::KernelVariant variant :
+       {tensor::kernels::KernelVariant::kScalar,
+        tensor::kernels::KernelVariant::kAvx2}) {
+    tensor::kernels::ScopedKernelVariant scoped(variant);
+    SCOPED_TRACE(tensor::kernels::KernelVariantName(
+        tensor::kernels::ActiveKernelVariant()));
+    for (float p : {0.0f, 0.3f}) {
+      SCOPED_TRACE(p);
+      core::Rng init(3);
+      tensor::Tensor q = tensor::Tensor::Zeros({t, d}, true);
+      tensor::Tensor k = tensor::Tensor::Zeros({t, d}, true);
+      tensor::Tensor v = tensor::Tensor::Zeros({t, d}, true);
+      NormalInit(&q, 1.0f, &init);
+      NormalInit(&k, 1.0f, &init);
+      NormalInit(&v, 1.0f, &init);
+      tensor::Tensor q_sub = tensor::Tensor::Zeros({m, d}, true);
+      tensor::Tensor k_sub = tensor::Tensor::Zeros({t, d}, true);
+      tensor::Tensor v_sub = tensor::Tensor::Zeros({t, d}, true);
+      for (int i = 0; i < m; ++i) {
+        std::memcpy(q_sub.data() + i * d, q.data() + rows[i] * d,
+                    sizeof(float) * d);
+      }
+      std::memcpy(k_sub.data(), k.data(), sizeof(float) * t * d);
+      std::memcpy(v_sub.data(), v.data(), sizeof(float) * t * d);
+
+      core::Rng full_rng(5);
+      const tensor::Tensor full = ops::SelectRows(
+          ops::FusedSdpa(q, k, v, heads, scale, p, &full_rng), rows);
+      ops::Sum(ops::Mul(full, w)).Backward();
+      core::Rng sub_rng(5);
+      const tensor::Tensor sub =
+          ops::FusedSdpa(q_sub, k_sub, v_sub, heads, scale, p, &sub_rng,
+                         &rows);
+      ops::Sum(ops::Mul(sub, w)).Backward();
+
+      ASSERT_EQ(sub.dim(0), m);
+      EXPECT_EQ(std::memcmp(sub.data(), full.data(),
+                            sizeof(float) * static_cast<size_t>(m) * d),
+                0);
+      EXPECT_EQ(sub_rng.NextU64(), full_rng.NextU64());
+      for (int i = 0; i < m; ++i) {
+        for (int c = 0; c < d; ++c) {
+          EXPECT_EQ(q_sub.grad()[i * d + c], q.grad()[rows[i] * d + c])
+              << "row " << rows[i] << " col " << c;
+        }
+      }
+      for (int64_t i = 0; i < k.numel(); ++i) {
+        EXPECT_EQ(k_sub.grad()[i], k.grad()[i]) << "k at " << i;
+        EXPECT_EQ(v_sub.grad()[i], v.grad()[i]) << "v at " << i;
+      }
+    }
+  }
 }
 
 TEST(LstmTest, OutputShape) {

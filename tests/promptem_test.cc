@@ -600,6 +600,35 @@ TEST(SelfTrainingTest, PruningRemovesSamples) {
   EXPECT_LT(with_pruning.student_samples, without.student_samples);
 }
 
+TEST(SelfTrainingTest, LastStudentEpochDoesNotPrune) {
+  // The only prune epoch is the student's last, and no epoch would train
+  // on its pruned set: the run prunes nothing and matches a run without
+  // DDP.
+  EncodedFixture f = MakeEncoded();
+  const auto run = [&f](bool use_pruning) {
+    core::Rng factory_rng(64);
+    ModelFactory factory =
+        [&factory_rng]() -> std::unique_ptr<PairClassifier> {
+      return std::make_unique<FinetuneModel>(TinyLM(), &factory_rng);
+    };
+    SelfTrainingConfig config = FastStConfig();
+    config.prune_ratio = 0.3;
+    config.prune_every = config.student_options.epochs;
+    config.use_pruning = use_pruning;
+    SelfTrainingStats stats;
+    RunSelfTraining(factory, f.train, f.test, f.valid, config, &stats);
+    return stats;
+  };
+  const SelfTrainingStats with_pruning = run(true);
+  const SelfTrainingStats without = run(false);
+  EXPECT_EQ(with_pruning.pruned_total, 0);
+  EXPECT_EQ(with_pruning.student_samples, without.student_samples);
+  EXPECT_EQ(with_pruning.student_best_valid.tp, without.student_best_valid.tp);
+  EXPECT_EQ(with_pruning.student_best_valid.fp, without.student_best_valid.fp);
+  EXPECT_EQ(with_pruning.student_best_valid.tn, without.student_best_valid.tn);
+  EXPECT_EQ(with_pruning.student_best_valid.fn, without.student_best_valid.fn);
+}
+
 // ---------------------------------------------------------------------------
 // PromptEM façade.
 // ---------------------------------------------------------------------------
