@@ -44,6 +44,7 @@
 #include "serve/server.h"
 #include "serve/service.h"
 #include "train/registry.h"
+#include "train/train_loop.h"
 #include "tensor/arena.h"
 #include "tensor/autograd.h"
 #include "tensor/kernels.h"
@@ -271,6 +272,78 @@ void BM_ForwardEval(benchmark::State& state) {
   state.counters["arena_fresh"] = static_cast<double>(arena.fresh_count());
 }
 BENCHMARK(BM_ForwardEval)->Arg(96);
+
+/// One-row forward as the matchers run it: the last layer computes only
+/// the row the head reads. Arg(1) is an MC-Dropout pass (training mode,
+/// dropout 0.1, under NoGradGuard), Arg(0) the eval forward the scoring
+/// sweeps run; both on a warmed ScratchArena. Their ratio is what an
+/// MC-Dropout pass costs over an eval forward.
+void RunRowForward(benchmark::State& state, bool mc_dropout) {
+  nn::TransformerConfig config = ForwardBenchConfig();
+  config.dropout = 0.1f;
+  core::Rng rng(1);
+  nn::TransformerEncoder encoder(config, &rng);
+  encoder.SetTraining(mc_dropout);
+  const std::vector<int> ids = ForwardBenchIds(85);
+  const std::vector<int> row = {0};
+  tensor::NoGradGuard no_grad;
+  tensor::ScratchArena arena;
+  tensor::ScratchArena::Scope scope(&arena);
+  for (auto _ : state) {
+    auto h = encoder.Encode(ids, &rng, &row);
+    benchmark::DoNotOptimize(h.data());
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+
+void BM_ForwardEvalRow(benchmark::State& state) {
+  RunRowForward(state, false);
+}
+BENCHMARK(BM_ForwardEvalRow);
+
+void BM_McDropoutPass(benchmark::State& state) {
+  RunRowForward(state, true);
+}
+BENCHMARK(BM_McDropoutPass);
+
+/// One training step through train::TrainLoop at Arg pool lanes: a batch
+/// of 8 sequences of 85 tokens, each a one-row forward (the [MASK] row
+/// through the tied MLM head, as prompt-tuning reads it) and backward
+/// under its own gradient shard, then the ordered shard merge and one
+/// AdamW step. The loop's optimizer state is built per iteration too.
+void BM_TrainStep(benchmark::State& state) {
+  const int threads = static_cast<int>(state.range(0));
+  const int saved = core::GetNumThreads();
+  core::SetNumThreads(threads);
+  nn::TransformerConfig config = ForwardBenchConfig();
+  config.dropout = 0.1f;
+  core::Rng init(1);
+  nn::TransformerEncoder encoder(config, &init);
+  encoder.Train();
+  std::vector<std::vector<int>> batch;
+  for (int i = 0; i < 8; ++i) {
+    std::vector<int> ids = ForwardBenchIds(85);
+    for (int& id : ids) id = 7 + (id + 97 * i) % 1900;
+    batch.push_back(std::move(ids));
+  }
+  const std::vector<int> row = {42};
+  train::LoopOptions options;
+  options.epochs = 1;
+  options.batch_size = 8;
+  for (auto _ : state) {
+    train::TrainLoop loop(&encoder, options);
+    loop.OnParallelStep([&](size_t index, core::Rng* rng) {
+      const tensor::Tensor hidden = encoder.Encode(batch[index], rng, &row);
+      return tensor::ops::CrossEntropyLogits(encoder.MlmLogits(hidden, {0}),
+                                             {static_cast<int>(index) + 7});
+    });
+    benchmark::DoNotOptimize(loop.Run(batch.size()).samples_processed);
+  }
+  state.SetItemsProcessed(state.iterations() * 8);
+  state.counters["threads"] = threads;
+  core::SetNumThreads(saved);
+}
+BENCHMARK(BM_TrainStep)->Arg(1)->Arg(2)->Arg(4)->Unit(benchmark::kMillisecond);
 
 tensor::Tensor RandomAttnInput(int t, int d, uint64_t seed) {
   core::Rng rng(seed);

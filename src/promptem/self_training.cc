@@ -63,6 +63,7 @@ void TrainStudentWithPruning(PairClassifier* student,
       const size_t n_d = static_cast<size_t>(
           config.prune_ratio * static_cast<double>(train_set->size()));
       if (n_d > 0) {
+        core::Timer prune_timer;
         const std::vector<float> scores = McEl2nScoreBatch(
             student, *train_set, config.mc_passes, hook_rng);
         std::vector<size_t> by_score(train_set->size());
@@ -80,6 +81,7 @@ void TrainStudentWithPruning(PairClassifier* student,
         }
         stats->pruned_total += static_cast<int>(n_d);
         *train_set = std::move(kept);
+        stats->prune_seconds += prune_timer.ElapsedSeconds();
       }
     }
     return train_set->size();
@@ -147,11 +149,13 @@ std::unique_ptr<PairClassifier> RunSelfTraining(
 
     // Uncertainty-aware pseudo-label selection (lines 5-8).
     if (!d_u.empty()) {
+      core::Timer pseudo_timer;
       stats->pseudo = SelectPseudoLabels(teacher.get(), d_u,
                                          config.strategy,
                                          config.pseudo_ratio,
                                          config.mc_passes, &rng, embed,
                                          config.embed_cache, u_keys);
+      stats->pseudo_label_seconds += pseudo_timer.ElapsedSeconds();
       std::vector<bool> taken(d_u.size(), false);
       for (size_t i = 0; i < stats->pseudo.indices.size(); ++i) {
         const int idx = stats->pseudo.indices[i];

@@ -44,7 +44,12 @@ struct SelfTrainingStats {
   int pruned_total = 0;
   int64_t student_samples = 0;   ///< per-sample steps during student phase
   double teacher_seconds = 0.0;
+  /// MC-Dropout pseudo-label selection over D_U (Algorithm 1, lines 5-8).
+  double pseudo_label_seconds = 0.0;
+  /// The student phase, including its DDP prunes.
   double student_seconds = 0.0;
+  /// DDP's MC-EL2N scoring and pruning, inside student_seconds.
+  double prune_seconds = 0.0;
 };
 
 /// Runs Algorithm 1 and returns the best student model (the teacher when

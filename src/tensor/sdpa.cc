@@ -200,19 +200,23 @@ Tensor FusedSdpa(const Tensor& q, const Tensor& k, const Tensor& v,
     const float keep_scale = 1.0f / (1.0f - dropout_p);
     mask = Tensor::Zeros({num_heads * m, t});
     float* mp = mask.data();
+    uint64_t skipped = 0;  // draws of non-query rows, discarded in one jump
     for (int h = 0; h < num_heads; ++h) {
       int next = 0;
       for (int r = 0; r < t; ++r) {
         if (next == m || pos(next) != r) {
-          for (int j = 0; j < t; ++j) rng->NextU64();
+          skipped += static_cast<uint64_t>(t);
           continue;
         }
+        rng->Discard(skipped);
+        skipped = 0;
         for (int j = 0; j < t; ++j) {
           *mp++ = rng->BernoulliBelow(threshold) ? 0.0f : keep_scale;
         }
         ++next;
       }
     }
+    rng->Discard(skipped);
   }
 
   // Softmax rows cached for the hand-written backward (train mode only).
