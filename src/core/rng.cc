@@ -1,7 +1,6 @@
 #include "core/rng.h"
 
 #include <cmath>
-#include <vector>
 
 #include "core/status.h"
 
@@ -16,75 +15,11 @@ uint64_t SplitMix64(uint64_t* state) {
   return z ^ (z >> 31);
 }
 
-using State = std::array<uint64_t, 4>;
-/// A linear map of the 256-bit state: column j is the image of bit j
-/// (bit j % 64 of word j / 64).
-using StateMatrix = std::array<State, 256>;
-
-State Apply(const StateMatrix& m, const State& s) {
-  State out = {0, 0, 0, 0};
-  for (int j = 0; j < 256; ++j) {
-    const uint64_t take = 0 - ((s[j / 64] >> (j % 64)) & 1);
-    for (int w = 0; w < 4; ++w) out[w] ^= m[j][w] & take;
-  }
-  return out;
-}
-
-/// Rng::NextU64's state update T, without the output function.
-void Step(State* state) {
-  uint64_t* s = state->data();
-  const uint64_t t = s[1] << 17;
-  s[2] ^= s[0];
-  s[3] ^= s[1];
-  s[1] ^= s[2];
-  s[0] ^= s[3];
-  s[2] ^= t;
-  s[3] = (s[3] << 45) | (s[3] >> 19);
-}
-
-/// Powers T^(2^k) of the state update T, k < kJumpLevels.
-constexpr int kJumpLevels = 24;
-
-const std::vector<StateMatrix>& JumpTable() {
-  static const std::vector<StateMatrix> table = [] {
-    std::vector<StateMatrix> levels(kJumpLevels);
-    for (int j = 0; j < 256; ++j) {
-      State column = {0, 0, 0, 0};
-      column[j / 64] = uint64_t{1} << (j % 64);
-      Step(&column);
-      levels[0][j] = column;
-    }
-    for (int k = 1; k < kJumpLevels; ++k) {
-      for (int j = 0; j < 256; ++j) {
-        levels[k][j] = Apply(levels[k - 1], levels[k - 1][j]);
-      }
-    }
-    return levels;
-  }();
-  return table;
-}
-
 }  // namespace
 
 Rng::Rng(uint64_t seed) {
   uint64_t sm = seed;
   for (auto& s : s_) s = SplitMix64(&sm);
-}
-
-void Rng::Discard(uint64_t n) {
-  // Below this many draws stepping is cheaper than one matrix product.
-  constexpr uint64_t kJumpMin = 512;
-  if (n < kJumpMin) {
-    for (; n > 0; --n) NextU64();
-    return;
-  }
-  const std::vector<StateMatrix>& table = JumpTable();
-  State s = {s_[0], s_[1], s_[2], s_[3]};
-  for (int k = 0; k < kJumpLevels - 1 && n != 0; ++k, n >>= 1) {
-    if (n & 1) s = Apply(table[k], s);
-  }
-  for (; n > 0; --n) s = Apply(table[kJumpLevels - 1], s);
-  for (int w = 0; w < 4; ++w) s_[w] = s[w];
 }
 
 uint64_t Rng::NextU64(uint64_t n) {

@@ -1,7 +1,6 @@
 #ifndef PROMPTEM_CORE_RNG_H_
 #define PROMPTEM_CORE_RNG_H_
 
-#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
@@ -28,12 +27,6 @@ class Rng {
     s_[3] = Rotl(s_[3], 45);
     return result;
   }
-
-  /// Advances the stream by n draws: afterwards the state is exactly what
-  /// n NextU64() calls would leave. The xoshiro256 state update is linear
-  /// over GF(2), so long runs jump through precomputed powers of it, at
-  /// the cost of a few hundred draws per set bit of n.
-  void Discard(uint64_t n);
 
   /// Uniform in [0, n). Requires n > 0.
   uint64_t NextU64(uint64_t n);

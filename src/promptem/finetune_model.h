@@ -22,8 +22,8 @@ class FinetuneModel : public nn::Module, public PairClassifier {
   std::array<float, 2> Probs(const EncodedPair& x, core::Rng* rng) override;
   nn::Module* AsModule() override { return this; }
 
-  /// Class logits [1, 2] for one pair. In graph-free eval the last
-  /// encoder layer computes only the [CLS] row.
+  /// Class logits [1, 2] for one pair. The last encoder layer computes
+  /// only the [CLS] row.
   tensor::Tensor Logits(const EncodedPair& x, core::Rng* rng) const;
 
   /// Mean-pooled encoder representation: [1, dim].

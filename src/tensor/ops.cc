@@ -454,14 +454,11 @@ Tensor DropoutOverRows(const Tensor& x, float p, core::Rng* rng,
   std::shared_ptr<std::vector<float>> mask;
   if (track) mask = std::make_shared<std::vector<float>>(n);
   int64_t next = 0;
-  uint64_t skipped = 0;  // draws of unkept rows, discarded in one jump
   for (int r = 0; r < mask_rows; ++r) {
     if (rows != nullptr && (next == m || (*rows)[next] != r)) {
-      skipped += static_cast<uint64_t>(cols);
+      for (int64_t c = 0; c < cols; ++c) rng->NextU64();
       continue;
     }
-    rng->Discard(skipped);
-    skipped = 0;
     const int64_t base = next * cols;
     for (int64_t c = 0; c < cols; ++c) {
       const bool drop = rng->BernoulliBelow(threshold);
@@ -474,7 +471,6 @@ Tensor DropoutOverRows(const Tensor& x, float p, core::Rng* rng,
     }
     ++next;
   }
-  rng->Discard(skipped);
   PROMPTEM_CHECK_MSG(next == m, "dropout rows must ascend within mask rows");
   if (track) {
     auto xi = x.impl();

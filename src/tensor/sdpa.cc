@@ -72,11 +72,10 @@ void AttachNode(Tensor* out, std::vector<Tensor> parents,
 /// plain NN GEMM — the unit-stride axpy kernel, ~4x the throughput of
 /// the dot-product NT case. `mask` / `p_cache` are this head's [M, T]
 /// slices, row i for query row i (null when dropout is off / grad is
-/// off). Task scratch: `tile`
-/// is [kSdpaRowTile, kSdpaKeyTile] (scores, then probabilities, in
-/// place), `acc` is [kSdpaRowTile, hd], `mvec`/`lvec` hold each row's
-/// running max and denominator. `out_head` is the head's column block of
-/// the packed output.
+/// off). Task scratch: `tile` is [kSdpaRowTile, kSdpaKeyTile] (scores,
+/// then probabilities, in place), `acc` is [kSdpaRowTile, hd],
+/// `mvec`/`lvec` hold each row's running max and denominator.
+/// `out_head` is the head's column block of the packed output.
 void SdpaForwardTile(const ConstMatView& qh, const float* kt_h,
                      const ConstMatView& vh, MatView out_head, int i0,
                      int i1, float scale, const float* mask, float* p_cache,
@@ -200,23 +199,19 @@ Tensor FusedSdpa(const Tensor& q, const Tensor& k, const Tensor& v,
     const float keep_scale = 1.0f / (1.0f - dropout_p);
     mask = Tensor::Zeros({num_heads * m, t});
     float* mp = mask.data();
-    uint64_t skipped = 0;  // draws of non-query rows, discarded in one jump
     for (int h = 0; h < num_heads; ++h) {
       int next = 0;
       for (int r = 0; r < t; ++r) {
         if (next == m || pos(next) != r) {
-          skipped += static_cast<uint64_t>(t);
+          for (int j = 0; j < t; ++j) rng->NextU64();
           continue;
         }
-        rng->Discard(skipped);
-        skipped = 0;
         for (int j = 0; j < t; ++j) {
           *mp++ = rng->BernoulliBelow(threshold) ? 0.0f : keep_scale;
         }
         ++next;
       }
     }
-    rng->Discard(skipped);
   }
 
   // Softmax rows cached for the hand-written backward (train mode only).

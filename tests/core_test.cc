@@ -137,22 +137,6 @@ TEST(RngTest, IntegerBernoulliMatchesDoubleCompare) {
   EXPECT_EQ(Rng::BernoulliThreshold(1.0), uint64_t{1} << 53);
 }
 
-TEST(RngTest, DiscardMatchesDrawing) {
-  // Below the jump cut, at it, a last-layer attention skip, and counts
-  // that reach the top jump level and go past it.
-  for (const uint64_t n :
-       {uint64_t{0}, uint64_t{1}, uint64_t{511}, uint64_t{512},
-        uint64_t{14280}, (uint64_t{1} << 23) + 5, (uint64_t{3} << 23) + 1}) {
-    Rng drawn(31);
-    Rng jumped(31);
-    for (uint64_t i = 0; i < n; ++i) drawn.NextU64();
-    jumped.Discard(n);
-    for (int i = 0; i < 4; ++i) {
-      EXPECT_EQ(jumped.NextU64(), drawn.NextU64()) << "n=" << n;
-    }
-  }
-}
-
 TEST(RngTest, ShufflePreservesElements) {
   Rng rng(15);
   std::vector<int> v = {1, 2, 3, 4, 5, 6, 7, 8};
