@@ -2,8 +2,6 @@
 
 #include <cmath>
 
-#include "tensor/autograd.h"
-
 namespace promptem::nn {
 
 namespace ops = tensor::ops;
@@ -30,19 +28,13 @@ tensor::Tensor MultiHeadSelfAttention::ForwardRows(
     const tensor::Tensor& x, const std::vector<int>* rows,
     core::Rng* rng) const {
   PROMPTEM_CHECK(x.ndim() == 2 && x.dim(1) == dim_);
-  tensor::Tensor q;
-  if (rows == nullptr) {
-    q = wq_.Forward(x);
-  } else if (tensor::GradEnabled()) {
-    // Under grad, Q projects every row and the rows are taken after: the
-    // input gradient then gets its Q term from one [T, D] GEMM, summed in
-    // the order a full-row pass sums it. Selecting before the projection
-    // would add the rows' Q terms to x's gradient as a separately
-    // rounded sum.
-    q = ops::SelectRows(wq_.Forward(x), *rows);
-  } else {
-    q = wq_.Forward(ops::SelectRows(x, *rows));
-  }
+  // Q projects only the selected rows. Its backward adds each row's
+  // dQ . Wq into x's gradient after V's and K's terms, as the full pass
+  // does, and as one sum: the GEMM adds into its output once per
+  // 256-wide k panel, and D <= 256 is one panel. A wider D would add
+  // per panel in the full pass and differ in the last bits.
+  tensor::Tensor q =
+      wq_.Forward(rows == nullptr ? x : ops::SelectRows(x, *rows));
   tensor::Tensor k = wk_.Forward(x);
   tensor::Tensor v = wv_.Forward(x);
 
