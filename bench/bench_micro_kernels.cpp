@@ -6,21 +6,12 @@
 
 #include <benchmark/benchmark.h>
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
 #include <algorithm>
-#include <atomic>
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
 #include <set>
 #include <string>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -35,14 +26,9 @@
 #include "nn/transformer.h"
 #include "pipeline/incremental.h"
 #include "pipeline/match_pipeline.h"
-#include "core/signals.h"
-#include "lm/pretrained_lm.h"
 #include "promptem/embed_cache.h"
 #include "promptem/encoding.h"
 #include "promptem/scoring.h"
-#include "serve/protocol.h"
-#include "serve/server.h"
-#include "serve/service.h"
 #include "train/registry.h"
 #include "train/train_loop.h"
 #include "tensor/arena.h"
@@ -533,8 +519,6 @@ void BM_BlockScoreMatch_Mmap(benchmark::State& state) {
   data::MinHashBlocker::IndexStats index_stats;
   for (auto _ : state) {
     data::MinHashBlocker::Config blocker_config;
-    blocker_config.index_backend =
-        data::MinHashBlocker::IndexBackend::kHashIndexMmap;
     blocker_config.index_dir = index_dir;
     data::MinHashBlocker blocker(tables.left, tables.right, blocker_config);
     em::MatchPipelineConfig config;
@@ -860,290 +844,29 @@ void BM_TdMatchPpr(benchmark::State& state) {
 }
 BENCHMARK(BM_TdMatchPpr);
 
-// ---------------------------------------------------------------------
-// Serving (DESIGN.md §14): request latency and batched throughput
-// through a live promptem_serve daemon over loopback TCP.
-
-/// Tiny in-bench LM (the baselines_test recipe): the serve benches price
-/// the serving layer, not model quality, so the cheapest trainable
-/// encoder is the right fixture.
-const lm::PretrainedLM& ServeBenchLM() {
-  static const lm::PretrainedLM* kLm = [] {
-    data::BenchmarkGenOptions small;
-    small.size_scale = 0.3;
-    std::vector<data::GemDataset> datasets = {
-        data::GenerateBenchmark(data::BenchmarkKind::kRelHeter, 13, small),
-    };
-    lm::Corpus corpus = lm::BuildCorpus(datasets, 13);
-    nn::TransformerConfig config;
-    config.dim = 16;
-    config.num_layers = 1;
-    config.num_heads = 2;
-    config.ffn_dim = 32;
-    config.max_seq_len = 96;
-    lm::MlmOptions options;
-    options.epochs = 1;
-    core::Rng rng(13);
-    return lm::PretrainedLM::Pretrain(corpus, config, options,
-                                      lm::RequiredPromptTokens(), &rng)
-        .release();
-  }();
-  return *kLm;
-}
-
-/// One resident daemon shared by every serve benchmark: DeepMatcher
-/// trained once at first use (the startup cost the daemon exists to
-/// amortize), then served over loopback TCP exactly like production.
-struct ServeBenchDaemon {
-  std::unique_ptr<serve::MatchService> service;
-  std::unique_ptr<serve::ServeDaemon> daemon;
-  size_t left_rows = 0;
-  size_t right_rows = 0;
-
-  static ServeBenchDaemon& Instance() {
-    static ServeBenchDaemon* kDaemon = [] {
-      core::IgnoreSigPipe();
-      auto* d = new ServeBenchDaemon();
-      data::SyntheticTableOptions options;
-      options.rows = 60;
-      options.seed = 7;
-      data::SyntheticTables tables = data::GenerateSyntheticTables(options);
-      data::GemDataset ds = tables.ToDataset(96, 7 ^ 0xDA7AULL);
-      d->left_rows = ds.left_table.size();
-      d->right_rows = ds.right_table.size();
-      core::Rng rng(7);
-      data::LowResourceSplit split = data::MakeLowResourceSplit(ds, 0.25, &rng);
-      train::RunOptions run;
-      run.seed = 7;
-      run.epochs = 2;
-      run.student_epochs = 2;
-      serve::MatchService::Config config;
-      config.default_matcher = "DeepMatcher";
-      d->service = std::make_unique<serve::MatchService>(
-          &ServeBenchLM(), std::move(ds), std::move(split), run, config);
-      if (!d->service->TrainAll().ok()) std::abort();
-      d->daemon = std::make_unique<serve::ServeDaemon>(
-          d->service.get(), serve::ServeDaemon::Config{0, {}});
-      if (!d->daemon->Start().ok()) std::abort();
-      return d;
-    }();
-    return *kDaemon;
-  }
-};
-
-int ServeBenchConnect(int port) {
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) return -1;
-  const int one = 1;
-  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = htons(static_cast<uint16_t>(port));
-  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
-    ::close(fd);
-    return -1;
-  }
-  return fd;
-}
-
-std::vector<data::PairExample> ServeBenchPairs(const ServeBenchDaemon& d,
-                                               size_t n, uint64_t seed) {
-  core::Rng rng(seed);
-  std::vector<data::PairExample> pairs(n);
-  for (auto& pair : pairs) {
-    pair.left_index = static_cast<int>(rng.NextU64(d.left_rows));
-    pair.right_index = static_cast<int>(rng.NextU64(d.right_rows));
-    pair.label = data::kUnlabeledLabel;
-  }
-  return pairs;
-}
-
-/// One closed-loop round trip; aborts the bench on transport failure.
-double ServeBenchRoundTripUs(int fd, const serve::MatchRequest& request) {
-  const auto start = std::chrono::steady_clock::now();
-  if (!serve::WriteFrame(fd, serve::SerializeRequest(request)).ok()) {
-    std::abort();
-  }
-  std::string payload;
-  if (!serve::ReadFrame(fd, &payload).ok()) std::abort();
-  auto parsed = serve::ParseMatchResponse(payload);
-  if (!parsed.ok() ||
-      parsed.value().status != serve::ResponseStatus::kOk) {
-    std::abort();
-  }
-  return std::chrono::duration<double, std::micro>(
-             std::chrono::steady_clock::now() - start)
-      .count();
-}
-
-/// Closed-loop single-client latency distribution. Manual time: each
-/// benchmark iteration runs a fixed sweep of round trips and reports the
-/// requested percentile as its time, so ns/op reads directly as "p50
-/// served latency" / "p99 served latency".
-void ServeLatencyBench(benchmark::State& state, double percentile) {
-  ServeBenchDaemon& d = ServeBenchDaemon::Instance();
-  const int fd = ServeBenchConnect(d.daemon->port());
-  if (fd < 0) std::abort();
-  constexpr size_t kSweep = 100;
-  constexpr size_t kPairs = 8;
-  size_t served = 0;
-  for (auto _ : state) {
-    std::vector<double> latencies_us;
-    latencies_us.reserve(kSweep);
-    for (size_t i = 0; i < kSweep; ++i) {
-      serve::MatchRequest request;
-      request.id = i + 1;
-      request.pairs = ServeBenchPairs(d, kPairs, i);
-      latencies_us.push_back(ServeBenchRoundTripUs(fd, request));
-      ++served;
-    }
-    std::sort(latencies_us.begin(), latencies_us.end());
-    const size_t index = std::min(
-        latencies_us.size() - 1,
-        static_cast<size_t>(percentile * (latencies_us.size() - 1)));
-    state.SetIterationTime(latencies_us[index] * 1e-6);
-  }
-  ::close(fd);
-  state.SetItemsProcessed(static_cast<int64_t>(served * kPairs));
-  state.counters["pairs_per_req"] = kPairs;
-}
-
-void BM_ServeP50(benchmark::State& state) {
-  ServeLatencyBench(state, 0.50);
-}
-BENCHMARK(BM_ServeP50)->UseManualTime()->Unit(benchmark::kMicrosecond);
-
-void BM_ServeP99(benchmark::State& state) {
-  ServeLatencyBench(state, 0.99);
-}
-BENCHMARK(BM_ServeP99)->UseManualTime()->Unit(benchmark::kMicrosecond);
-
-/// One-request-at-a-time scoring, the pre-daemon baseline: every query
-/// pays the full one-shot startup the CLI pays — build the service over
-/// the tables and train the matcher — before scoring its pairs. This is
-/// the cost `promptem_serve` exists to amortize; BM_ServeThroughput
-/// below is the same query against the resident daemon.
-void BM_OneShotScore(benchmark::State& state) {
-  ServeBenchDaemon& d = ServeBenchDaemon::Instance();  // dims + LM warm
-  constexpr size_t kPairs = 8;
-  size_t served = 0;
-  for (auto _ : state) {
-    data::SyntheticTableOptions options;
-    options.rows = 60;
-    options.seed = 7;
-    data::SyntheticTables tables = data::GenerateSyntheticTables(options);
-    data::GemDataset ds = tables.ToDataset(96, 7 ^ 0xDA7AULL);
-    core::Rng rng(7);
-    data::LowResourceSplit split = data::MakeLowResourceSplit(ds, 0.25, &rng);
-    train::RunOptions run;
-    run.seed = 7;
-    run.epochs = 2;
-    run.student_epochs = 2;
-    serve::MatchService::Config config;
-    config.default_matcher = "DeepMatcher";
-    serve::MatchService service(&ServeBenchLM(), std::move(ds),
-                                std::move(split), run, config);
-    if (!service.TrainAll().ok()) std::abort();
-    serve::MatchRequest request;
-    request.id = 1;
-    request.pairs = ServeBenchPairs(d, kPairs, served);
-    const serve::MatchResponse response = service.Score(request);
-    if (response.status != serve::ResponseStatus::kOk) std::abort();
-    benchmark::DoNotOptimize(response.probs.data());
-    ++served;
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(served * kPairs));
-  state.counters["pairs_per_req"] = kPairs;
-}
-BENCHMARK(BM_OneShotScore)->Unit(benchmark::kMillisecond);
-
-/// The resident daemon under a fixed request budget pushed by Arg(0)
-/// concurrent closed-loop clients. Compare items/s against
-/// BM_OneShotScore: batched resident serving beats one-request-at-a-time
-/// scoring by the full train-per-query factor. The avg_batch counter
-/// (the response "batch" field) records the coalescing machinery at
-/// work: 16 clients pile requests behind the busy scorer and each
-/// ScoreProbs sweep rides ~16x wider. On a single core that width is
-/// observability, not speed — per-pair model cost dominates and the
-/// per-sweep overhead it amortizes is negligible; the width turns into
-/// throughput when the pool has cores to spread a sweep across.
-void BM_ServeThroughput(benchmark::State& state) {
-  const int clients = static_cast<int>(state.range(0));
-  ServeBenchDaemon& d = ServeBenchDaemon::Instance();
-  constexpr int kTotalRequests = 96;
-  constexpr size_t kPairs = 8;
-  const int per_client = kTotalRequests / clients;
-  uint64_t batch_sum = 0;
-  uint64_t responses = 0;
-  for (auto _ : state) {
-    std::vector<std::thread> workers;
-    std::atomic<uint64_t> iter_batch_sum{0};
-    for (int c = 0; c < clients; ++c) {
-      workers.emplace_back([&, c] {
-        const int fd = ServeBenchConnect(d.daemon->port());
-        if (fd < 0) std::abort();
-        for (int i = 0; i < per_client; ++i) {
-          serve::MatchRequest request;
-          request.id = static_cast<uint64_t>(i + 1);
-          request.pairs =
-              ServeBenchPairs(d, kPairs, static_cast<uint64_t>(c * 977 + i));
-          if (!serve::WriteFrame(fd, serve::SerializeRequest(request))
-                   .ok()) {
-            std::abort();
-          }
-          std::string payload;
-          if (!serve::ReadFrame(fd, &payload).ok()) std::abort();
-          auto parsed = serve::ParseMatchResponse(payload);
-          if (!parsed.ok() ||
-              parsed.value().status != serve::ResponseStatus::kOk) {
-            std::abort();
-          }
-          iter_batch_sum += parsed.value().batch_size;
-        }
-        ::close(fd);
-      });
-    }
-    for (auto& worker : workers) worker.join();
-    batch_sum += iter_batch_sum.load();
-    responses += static_cast<uint64_t>(clients) *
-                 static_cast<uint64_t>(per_client);
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(responses * kPairs));
-  state.counters["clients"] = clients;
-  // Mean coalesced sweep width observed by the clients (the "batch"
-  // response field): 8 = no coalescing, larger = the queue at work.
-  state.counters["avg_batch"] =
-      responses == 0
-          ? 0.0
-          : static_cast<double>(batch_sum) / static_cast<double>(responses);
-}
-BENCHMARK(BM_ServeThroughput)
-    ->Unit(benchmark::kMillisecond)
-    ->UseRealTime()
-    ->Arg(1)
-    ->Arg(16);
-
 }  // namespace
 
 /// BENCHMARK_MAIN, except that when the caller did not ask for a report
 /// file the JSON goes to BENCH_micro.json in the working directory — and
 /// that default recording is refused unless this binary was configured as
 /// a plain Release build (tools/run_bench.sh is the supported recorder).
-/// An explicit --benchmark_out is always honored.
+/// An explicit --benchmark_out is always honored. --benchmark_list_tests
+/// runs nothing, so it gets no default report: libbenchmark would open
+/// (and so truncate) the report file even then.
 int main(int argc, char** argv) {
   const std::string build_type = PROMPTEM_BENCH_BUILD_TYPE;
   const std::string sanitize = PROMPTEM_BENCH_SANITIZE;
   std::vector<char*> args(argv, argv + argc);
   bool has_out = false;
+  bool listing = false;
   for (int i = 1; i < argc; ++i) {
-    if (std::string(argv[i]).rfind("--benchmark_out", 0) == 0) {
-      has_out = true;
-    }
+    const std::string arg = argv[i];
+    if (arg.rfind("--benchmark_out", 0) == 0) has_out = true;
+    if (arg.rfind("--benchmark_list_tests", 0) == 0) listing = true;
   }
   std::string out_flag = "--benchmark_out=BENCH_micro.json";
   std::string format_flag = "--benchmark_out_format=json";
-  if (!has_out) {
+  if (!has_out && !listing) {
     if (build_type != "Release" || !sanitize.empty()) {
       std::fprintf(stderr,
                    "bench_micro_kernels: refusing to record "

@@ -352,58 +352,12 @@ MinHashBlocker::MinHashBlocker(const std::vector<Record>& left_table,
                       }
                     });
 
-  // ...then packed per band into key -> ascending-rights tables. Only
-  // band keys are retained — O(bands * right) memory, no per-record
-  // signatures — which is what lets the index fit at 1M rows.
-  if (config_.index_backend == IndexBackend::kSortedArray) {
-    // Legacy backend: sorted (key, right) arrays probed with
-    // equal_range. Bands are independent, so the sorts run across the
-    // pool.
-    band_keys_.assign(static_cast<size_t>(kNumBands), {});
-    band_rights_.assign(static_cast<size_t>(kNumBands), {});
-    core::ParallelFor(0, kNumBands, 1, [&](int64_t begin, int64_t end) {
-      for (int64_t b = begin; b < end; ++b) {
-        const uint64_t* keys =
-            flat.data() + static_cast<size_t>(b) * right_size_;
-        std::vector<int32_t> order(right_size_);
-        for (size_t j = 0; j < right_size_; ++j) {
-          order[j] = static_cast<int32_t>(j);
-        }
-        std::sort(order.begin(), order.end(), [&](int32_t a, int32_t c) {
-          return keys[static_cast<size_t>(a)] != keys[static_cast<size_t>(c)]
-                     ? keys[static_cast<size_t>(a)] <
-                           keys[static_cast<size_t>(c)]
-                     : a < c;
-        });
-        auto& bk = band_keys_[static_cast<size_t>(b)];
-        auto& br = band_rights_[static_cast<size_t>(b)];
-        bk.resize(right_size_);
-        br.resize(right_size_);
-        for (size_t j = 0; j < right_size_; ++j) {
-          bk[j] = keys[static_cast<size_t>(order[j])];
-          br[j] = order[j];
-        }
-      }
-    });
-    for (const auto& bk : band_keys_) {
-      for (size_t j = 0; j < bk.size();) {
-        size_t k = j;
-        while (k < bk.size() && bk[k] == bk[j]) ++k;
-        if (k - j > bucket_cap_) ++buckets_over_cap_;
-        j = k;
-      }
-    }
-    return;
-  }
-
-  // HashIndex backends: one postings index per band. AddPosting uses
-  // rank = right, so a key's sealed list is the rights ascending —
-  // byte-for-byte the segment the sorted arrays cover with equal_range.
-  const bool mmap_backed =
-      config_.index_backend == IndexBackend::kHashIndexMmap;
+  // ...then packed per band into key -> ascending-rights tables
+  // (AddPosting's rank is the right index). Only band keys are retained
+  // — O(bands * right) memory, no per-record signatures — which is what
+  // lets the index fit at 1M rows.
+  const bool mmap_backed = !config_.index_dir.empty();
   if (mmap_backed) {
-    PROMPTEM_CHECK_MSG(!config_.index_dir.empty(),
-                       "kHashIndexMmap requires Config::index_dir");
     ::mkdir(config_.index_dir.c_str(), 0755);  // EEXIST is fine
   }
   band_index_.resize(static_cast<size_t>(kNumBands));
@@ -461,16 +415,6 @@ MinHashBlocker::IndexStats MinHashBlocker::index_stats() const {
   IndexStats stats;
   stats.buckets_over_cap = buckets_over_cap_;
   stats.capped_probes = capped_probes_.load(std::memory_order_relaxed);
-  if (config_.index_backend == IndexBackend::kSortedArray) {
-    for (size_t b = 0; b < band_keys_.size(); ++b) {
-      const uint64_t bytes =
-          band_keys_[b].size() * sizeof(uint64_t) +
-          band_rights_[b].size() * sizeof(int32_t);
-      stats.band_bytes.push_back(bytes);
-      stats.ram_bytes += bytes;
-    }
-    return stats;
-  }
   for (const auto& snap : band_snap_) {
     const uint64_t bytes = snap.ram_bytes() + snap.file_bytes();
     stats.band_bytes.push_back(bytes);
@@ -483,24 +427,8 @@ MinHashBlocker::IndexStats MinHashBlocker::index_stats() const {
 void MinHashBlocker::CandidatesForLeft(int left_index,
                                        std::vector<PairExample>* out) const {
   const auto keys = BandKeys((*left_table_)[static_cast<size_t>(left_index)]);
-  const bool legacy = config_.index_backend == IndexBackend::kSortedArray;
   std::vector<int32_t> hits;
   for (int b = 0; b < kNumBands; ++b) {
-    if (legacy) {
-      const auto& bk = band_keys_[static_cast<size_t>(b)];
-      const auto& br = band_rights_[static_cast<size_t>(b)];
-      const auto range = std::equal_range(bk.begin(), bk.end(),
-                                          keys[static_cast<size_t>(b)]);
-      const size_t lo = static_cast<size_t>(range.first - bk.begin());
-      const size_t hi = static_cast<size_t>(range.second - bk.begin());
-      if (hi - lo > bucket_cap_) {  // boilerplate bucket, no signal
-        capped_probes_.fetch_add(1, std::memory_order_relaxed);
-        continue;
-      }
-      hits.insert(hits.end(), br.begin() + static_cast<ptrdiff_t>(lo),
-                  br.begin() + static_cast<ptrdiff_t>(hi));
-      continue;
-    }
     const int32_t* values = nullptr;
     size_t count = 0;
     if (!band_snap_[static_cast<size_t>(b)].FindPostings(

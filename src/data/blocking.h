@@ -153,32 +153,22 @@ class OverlapBlocker : public LeftStreamBlocker {
 /// Per left record, bucket hits are ranked by the number of matching
 /// bands (ties broken by right index) and the top-k kept — the same
 /// shape OverlapBlocker emits. Signature computation runs over
-/// core::ParallelFor; only per-band keys are stored (sorted key -> right
-/// arrays), so the index is O(kNumBands * right) with no per-record
-/// signature retained.
+/// core::ParallelFor; only per-band keys are stored, one core::HashIndex
+/// of key -> ascending rights per band, so the index is
+/// O(kNumBands * right) with no per-record signature retained.
 class MinHashBlocker : public LeftStreamBlocker {
  public:
-  /// Backing store for the per-band key -> rights tables. All three
-  /// produce bitwise-identical candidate streams (pinned by
-  /// hash_index_test): a posting list under a band key is the rights
-  /// ascending, exactly the segment the legacy sorted arrays cover with
-  /// equal_range.
-  enum class IndexBackend {
-    kSortedArray,    ///< legacy per-band sorted (key, right) arrays
-    kHashIndexRam,   ///< core::HashIndex postings, in-RAM arena
-    kHashIndexMmap,  ///< core::HashIndex postings, mmap files in index_dir
-  };
-
   /// Signature bands (2 rows of the 32-hash signature each); one index
   /// table per band.
   static constexpr int kNumBands = 16;
 
   struct Config {
     int top_k = 10;  ///< candidates kept per left record
-    IndexBackend index_backend = IndexBackend::kHashIndexRam;
-    /// Directory holding the per-band index files ("band_<b>.phx") for
-    /// kHashIndexMmap (created if missing; ignored otherwise). The files
-    /// outlive the blocker — they ARE the beyond-RAM index.
+    /// Empty: the band tables live in RAM. Set: they are mmap-backed
+    /// files ("band_<b>.phx") in this directory, created if missing. Both
+    /// give bitwise-identical candidate streams (pinned by
+    /// hash_index_test). The files outlive the blocker — they ARE the
+    /// beyond-RAM index.
     std::string index_dir;
   };
 
@@ -221,11 +211,7 @@ class MinHashBlocker : public LeftStreamBlocker {
   const std::vector<Record>* left_table_;  // not owned; must outlive this
   size_t right_size_ = 0;
   size_t bucket_cap_ = 0;
-  /// kSortedArray backend — per band: right-record band keys sorted
-  /// ascending (ties by right index), probed with equal_range.
-  std::vector<std::vector<uint64_t>> band_keys_;
-  std::vector<std::vector<int32_t>> band_rights_;
-  /// kHashIndex* backends — per band: key -> ascending rights postings.
+  /// Per band: key -> ascending rights postings.
   /// Snapshots are pinned once at build, so probes are wait-free.
   std::vector<std::unique_ptr<core::HashIndex>> band_index_;
   std::vector<core::HashIndex::Snapshot> band_snap_;

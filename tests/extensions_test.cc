@@ -1,5 +1,5 @@
 // Tests for the adoption-path extensions: the JSON parser, CSV/JSONL
-// dataset I/O, the blocking substrate, and active learning.
+// dataset I/O and the blocking substrate.
 
 #include <cstdio>
 #include <filesystem>
@@ -11,10 +11,6 @@
 #include "data/json.h"
 #include "data/benchmarks.h"
 #include "data/serializer.h"
-#include "lm/pretrained_lm.h"
-#include "promptem/active_learning.h"
-#include "promptem/finetune_model.h"
-#include "promptem/promptem.h"
 
 namespace promptem {
 namespace {
@@ -274,56 +270,6 @@ TEST(BlockingQualityTest, Formulae) {
   auto q = data::EvaluateBlocking(candidates, gold, 10, 10);
   EXPECT_DOUBLE_EQ(q.pair_completeness, 0.5);
   EXPECT_DOUBLE_EQ(q.reduction_ratio, 1.0 - 2.0 / 100.0);
-}
-
-// --- active learning ---
-
-TEST(ActiveLearningTest, LabeledSetGrowsPerRound) {
-  // A tiny LM keeps this self-contained and fast.
-  data::BenchmarkGenOptions small;
-  small.size_scale = 0.3;
-  std::vector<data::GemDataset> datasets = {
-      data::GenerateBenchmark(data::BenchmarkKind::kRelHeter, 31, small)};
-  lm::Corpus corpus = lm::BuildCorpus(datasets, 31);
-  nn::TransformerConfig config;
-  config.dim = 16;
-  config.num_layers = 1;
-  config.num_heads = 2;
-  config.ffn_dim = 32;
-  config.max_seq_len = 96;
-  lm::MlmOptions mlm;
-  mlm.epochs = 1;
-  core::Rng rng(31);
-  auto lm_ptr = lm::PretrainedLM::Pretrain(corpus, config, mlm,
-                                           lm::RequiredPromptTokens(), &rng);
-
-  const data::GemDataset& ds = datasets[0];
-  em::PairEncoder encoder = em::MakePairEncoder(*lm_ptr, ds);
-  core::Rng split_rng(31);
-  data::LowResourceSplit split =
-      data::MakeLowResourceSplit(ds, 0.15, &split_rng);
-  auto labeled = encoder.EncodeAll(ds, split.labeled);
-  auto unlabeled = encoder.EncodeAll(ds, split.unlabeled);
-  auto valid = encoder.EncodeAll(ds, split.valid);
-
-  core::Rng factory_rng(31);
-  em::ModelFactory factory =
-      [&]() -> std::unique_ptr<em::PairClassifier> {
-    return std::make_unique<em::FinetuneModel>(*lm_ptr, &factory_rng);
-  };
-  em::ActiveLearningConfig al;
-  al.rounds = 3;
-  al.budget_per_round = 4;
-  al.mc_passes = 3;
-  al.train_options.epochs = 2;
-  std::unique_ptr<em::PairClassifier> model;
-  auto history = em::RunActiveLearning(factory, labeled, unlabeled, valid,
-                                       al, &model);
-  ASSERT_EQ(history.size(), 3u);
-  EXPECT_EQ(history[0].labeled_size, labeled.size());
-  EXPECT_EQ(history[1].labeled_size, labeled.size() + 4);
-  EXPECT_EQ(history[2].labeled_size, labeled.size() + 8);
-  ASSERT_NE(model, nullptr);
 }
 
 }  // namespace

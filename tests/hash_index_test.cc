@@ -1,9 +1,9 @@
 // Tests for core::HashIndex and the layers refactored onto it: sealed
 // images must be pure functions of content (pool-size / insertion-order
 // invariant), the mmap file must round-trip and grow atomically, and the
-// MinHash candidate stream must be bitwise identical across the legacy
-// sorted-array backend and both HashIndex backends at every chunk size
-// and pool size.
+// MinHash candidate stream must be bitwise identical across the RAM and
+// mmap backends at every chunk size and pool size, and equal to a pinned
+// digest.
 
 #include <gtest/gtest.h>
 #include <unistd.h>
@@ -329,18 +329,11 @@ uint64_t PairsDigest(const std::vector<data::PairExample>& pairs) {
   return hash;
 }
 
-/// One configuration per index backend, mmap files under `dir`.
+/// One configuration per index backend: RAM, then mmap files in `dir`.
 std::vector<data::MinHashBlocker::Config> BackendConfigs(
     const std::string& dir) {
-  using Backend = data::MinHashBlocker::IndexBackend;
-  std::vector<data::MinHashBlocker::Config> configs;
-  for (const auto backend : {Backend::kSortedArray, Backend::kHashIndexRam,
-                             Backend::kHashIndexMmap}) {
-    data::MinHashBlocker::Config config;
-    config.index_backend = backend;
-    config.index_dir = dir;
-    configs.push_back(config);
-  }
+  std::vector<data::MinHashBlocker::Config> configs(2);
+  configs[1].index_dir = dir;
   return configs;
 }
 
@@ -405,9 +398,7 @@ TEST(MinHashBackendParityTest, IndexStatsSeeTheBackingStore) {
   const data::SyntheticTables tables = data::GenerateSyntheticTables(options);
   ScratchDir dir("bands");
 
-  data::MinHashBlocker::Config ram_config;
-  ram_config.index_backend = data::MinHashBlocker::IndexBackend::kHashIndexRam;
-  data::MinHashBlocker ram(tables.left, tables.right, ram_config);
+  data::MinHashBlocker ram(tables.left, tables.right);
   (void)ram.Drain();
   const auto ram_stats = ram.index_stats();
   EXPECT_EQ(ram_stats.band_bytes.size(),
@@ -416,25 +407,12 @@ TEST(MinHashBackendParityTest, IndexStatsSeeTheBackingStore) {
   EXPECT_EQ(ram_stats.file_bytes, 0u);
 
   data::MinHashBlocker::Config mmap_config;
-  mmap_config.index_backend =
-      data::MinHashBlocker::IndexBackend::kHashIndexMmap;
   mmap_config.index_dir = dir.path();
   data::MinHashBlocker mapped(tables.left, tables.right, mmap_config);
   (void)mapped.Drain();
   const auto mmap_stats = mapped.index_stats();
   EXPECT_EQ(mmap_stats.ram_bytes, 0u);
   EXPECT_GT(mmap_stats.file_bytes, 0u);
-
-  // The cap decisions are a function of content, not of the backend.
-  data::MinHashBlocker::Config legacy_config;
-  legacy_config.index_backend =
-      data::MinHashBlocker::IndexBackend::kSortedArray;
-  data::MinHashBlocker legacy(tables.left, tables.right, legacy_config);
-  (void)legacy.Drain();
-  const auto legacy_stats = legacy.index_stats();
-  EXPECT_EQ(legacy_stats.buckets_over_cap, ram_stats.buckets_over_cap);
-  EXPECT_EQ(legacy_stats.capped_probes, ram_stats.capped_probes);
-  EXPECT_EQ(legacy_stats.capped_probes, mmap_stats.capped_probes);
 }
 
 }  // namespace

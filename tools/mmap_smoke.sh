@@ -5,7 +5,8 @@
 # run must die (bad_alloc under the rlimit); the --index-dir run must
 # finish and report its band bytes on disk with zero in RAM. This is
 # the one place CI proves the mmap backend actually changes the memory
-# envelope rather than just passing the same tests twice.
+# envelope rather than just passing the same tests twice. Before that,
+# it checks that an unusable --index-dir is refused with exit 2.
 #
 # The ceiling is RLIMIT_DATA (`ulimit -d`), not RLIMIT_AS (`ulimit -v`):
 # since Linux 4.7 RLIMIT_DATA charges brk plus private anonymous
@@ -42,6 +43,26 @@ export MALLOC_ARENA_MAX=2
 
 scratch="$(mktemp -d)"
 trap 'rm -rf "${scratch}"' EXIT
+
+# A --index-dir the blocker cannot write its band files into must be
+# refused up front with exit 2 and the path named, not abort mid-build.
+expect_bad_index_dir() {
+  local dir="$1"
+  local log="${scratch}/bad_dir.log"
+  local code=0
+  "${cli}" --blocking-report --synthetic 200 --blocker minhash \
+    --index-dir "${dir}" >"${log}" 2>&1 || code=$?
+  if (( code != 2 )) || ! grep -qF -- "--index-dir ${dir}:" "${log}"; then
+    echo "mmap_smoke: FAIL — --index-dir ${dir} gave exit ${code}," \
+         "expected 2 with the path named" >&2
+    cat "${log}" >&2
+    exit 1
+  fi
+}
+: > "${scratch}/not_a_dir"
+expect_bad_index_dir "${scratch}/not_a_dir"
+expect_bad_index_dir "${scratch}/missing_parent/bands"
+echo "mmap_smoke: unusable --index-dir paths exit 2"
 
 run_limited() {
   local log="$1"

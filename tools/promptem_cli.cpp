@@ -16,6 +16,9 @@
 // Dataset directories follow src/data/io.h's layout (left.csv|jsonl|txt,
 // right.*, pairs_{train,valid,test}.csv).
 
+#include <sys/stat.h>
+#include <unistd.h>
+
 #include <algorithm>
 #include <cerrno>
 #include <cstdint>
@@ -185,12 +188,22 @@ std::unique_ptr<data::Blocker> MakeBlocker(const std::string& name,
   }
   data::MinHashBlocker::Config config;
   config.top_k = top_k;
-  if (!index_dir.empty()) {
-    config.index_backend = data::MinHashBlocker::IndexBackend::kHashIndexMmap;
-    config.index_dir = index_dir;
-  }
+  config.index_dir = index_dir;
   return std::make_unique<data::MinHashBlocker>(tables.left_table,
                                                 tables.right_table, config);
+}
+
+/// Creates `dir` if missing and checks that the blocker can write its
+/// band files there; returns an error message, or "" when it can.
+std::string CheckIndexDir(const std::string& dir) {
+  if (::mkdir(dir.c_str(), 0755) != 0 && errno != EEXIST) {
+    return std::strerror(errno);
+  }
+  struct stat st;
+  if (::stat(dir.c_str(), &st) != 0) return std::strerror(errno);
+  if (!S_ISDIR(st.st_mode)) return "not a directory";
+  if (::access(dir.c_str(), W_OK | X_OK) != 0) return std::strerror(errno);
+  return "";
 }
 
 uint64_t PackPair(int left, int right) {
@@ -423,6 +436,14 @@ int main(int argc, char** argv) {
                  "--left/--right tables have no training pairs; supply "
                  "training data with --dataset or --dir\n");
     return 2;
+  }
+  if (!index_dir.empty()) {
+    const std::string error = CheckIndexDir(index_dir);
+    if (!error.empty()) {
+      std::fprintf(stderr, "--index-dir %s: %s\n", index_dir.c_str(),
+                   error.c_str());
+      return 2;
+    }
   }
 
   // A Ctrl-C mid-run used to lose every warm embedding (the cache was

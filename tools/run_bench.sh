@@ -42,15 +42,10 @@ cmake --build "${build_dir}" -j "$(nproc)" --target bench_micro_kernels
 "${build_dir}/bench/bench_micro_kernels" "$@"
 echo "run_bench.sh: recorded $(pwd)/BENCH_micro.json"
 
-# The record-cache benchmarks are part of the recorded baseline: warn
-# when a --benchmark_filter pass left them out of the refreshed file.
-for bench in BM_EncodeChunkParallel BM_EmbedCacheHitMiss \
-             BM_SelfTrainCached BM_IncrementalMatch \
-             BM_ServeP50 BM_ServeP99 BM_OneShotScore BM_ServeThroughput \
-             BM_BlockScoreMatch_Mmap; do
-  if ! grep -q "\"${bench}" BENCH_micro.json; then
-    echo "run_bench.sh: warning: ${bench} missing from BENCH_micro.json" \
-         "(filtered run? re-run without --benchmark_filter to record the" \
-         "full baseline)" >&2
-  fi
-done
+# A --benchmark_filter pass records only part of the baseline: warn
+# about every registered benchmark the refreshed file lacks.
+if ! tools/check_bench_ledger.sh "${build_dir}"; then
+  echo "run_bench.sh: warning: BENCH_micro.json lacks the benchmarks" \
+       "above (filtered run? re-run without --benchmark_filter to record" \
+       "the full baseline)" >&2
+fi
