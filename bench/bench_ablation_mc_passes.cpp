@@ -45,7 +45,7 @@ int main() {
     core::Rng rng(bench::kSeed);
     p.teacher =
         std::make_unique<em::PromptModel>(lm, em::PromptModelConfig{}, &rng);
-    em::TrainOptions options;
+    train::LoopOptions options;
     options.epochs = fast ? 2 : 10;
     em::TrainClassifier(p.teacher.get(), labeled, valid, options);
     p.unlabeled = encoder.EncodeAll(ds, split.unlabeled);

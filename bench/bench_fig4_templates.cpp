@@ -54,7 +54,7 @@ int main() {
       config.template_mode = variant.mode;
       core::Rng rng(bench::kSeed);
       em::PromptModel model(lm, config, &rng);
-      em::TrainOptions options;
+      train::LoopOptions options;
       options.epochs = fast ? 2 : 8;
       em::TrainClassifier(&model, labeled, valid, options);
       const double f1 = em::Evaluate(&model, test).F1();

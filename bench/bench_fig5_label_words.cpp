@@ -55,7 +55,7 @@ int main() {
       config.label_words = variant.words;
       core::Rng rng(bench::kSeed);
       em::PromptModel model(lm, config, &rng);
-      em::TrainOptions options;
+      train::LoopOptions options;
       options.epochs = fast ? 2 : 8;
       em::TrainClassifier(&model, labeled, valid, options);
       const double f1 = em::Evaluate(&model, test).F1();

@@ -32,7 +32,7 @@ int main() {
     // One teacher per dataset, shared by all three strategies.
     core::Rng model_rng(bench::kSeed);
     em::PromptModel teacher(lm, em::PromptModelConfig{}, &model_rng);
-    em::TrainOptions train_options;
+    train::LoopOptions train_options;
     train_options.epochs = fast ? 2 : 10;
     em::TrainClassifier(&teacher, labeled, valid, train_options);
 

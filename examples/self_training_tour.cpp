@@ -30,12 +30,12 @@ int main() {
               labeled.size());
   core::Rng model_rng(kSeed);
   em::PromptModel teacher(*lm, em::PromptModelConfig{}, &model_rng);
-  em::TrainOptions train_options;
+  train::LoopOptions train_options;
   train_options.epochs = 10;
-  em::TrainResult tr = em::TrainClassifier(&teacher, labeled, valid,
-                                           train_options);
+  train::LoopResult tr =
+      em::TrainClassifier(&teacher, labeled, valid, train_options);
   std::printf("teacher valid: %s (best epoch %d)\n\n",
-              tr.best_valid.ToString().c_str(), tr.best_epoch);
+              tr.best_eval.ToString().c_str(), tr.best_epoch);
 
   // Step 2: MC-Dropout uncertainty on the unlabeled pool (§4.2).
   std::printf("=== Step 2: MC-Dropout uncertainty (10 passes) ===\n");

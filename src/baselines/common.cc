@@ -57,8 +57,8 @@ em::PromptEMConfig MakePromptEmConfig(Method method,
   em::PromptEMConfig config;
   config.seed = options.seed;
   config.use_prompt_tuning = method != Method::kPromptEMNoPT;
-  config.use_self_training = method != Method::kPromptEMNoLST;
-  config.use_data_pruning =
+  config.self_training.use_pseudo_labels = method != Method::kPromptEMNoLST;
+  config.self_training.use_pruning =
       method != Method::kPromptEMNoDDP && method != Method::kPromptEMNoLST;
   config.self_training.teacher_options.epochs = options.epochs;
   config.self_training.teacher_options.lr = options.lr;

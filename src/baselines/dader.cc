@@ -37,13 +37,12 @@ std::unique_ptr<em::PairClassifier> RunDader(
     const std::vector<em::EncodedPair>& target_labeled,
     const std::vector<em::EncodedPair>& target_unlabeled,
     const std::vector<em::EncodedPair>& target_valid,
-    const em::TrainOptions& options, core::Rng* rng) {
-  // Phase 1: source model on the source benchmark's full labels.
+    const train::LoopOptions& options, core::Rng* rng) {
+  // Phase 1: source model on the source benchmark's full labels. With no
+  // validation set it keeps its last epoch's weights.
   core::Rng source_rng = rng->Fork();
   auto source_model = std::make_unique<em::FinetuneModel>(lm, &source_rng);
-  em::TrainOptions source_options = options;
-  source_options.select_best_on_valid = false;
-  em::TrainClassifier(source_model.get(), source_train, {}, source_options);
+  em::TrainClassifier(source_model.get(), source_train, {}, options);
 
   // Phase 2: target model initialized from the source model.
   core::Rng target_rng = rng->Fork();

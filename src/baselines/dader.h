@@ -25,7 +25,7 @@ std::unique_ptr<em::PairClassifier> RunDader(
     const std::vector<em::EncodedPair>& target_labeled,
     const std::vector<em::EncodedPair>& target_unlabeled,
     const std::vector<em::EncodedPair>& target_valid,
-    const em::TrainOptions& options, core::Rng* rng);
+    const train::LoopOptions& options, core::Rng* rng);
 
 }  // namespace promptem::baselines
 

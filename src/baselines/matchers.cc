@@ -39,17 +39,17 @@ core::Rng MethodRng(Method method, const RunOptions& options) {
   return core::Rng(options.seed ^ (static_cast<uint64_t>(method) << 8));
 }
 
-em::TrainOptions MakeTrainOptions(const MatcherContext& ctx,
-                                  const std::string& run_name) {
-  em::TrainOptions train;
-  train.epochs = ctx.options.epochs;
-  train.lr = ctx.options.lr;
-  train.batch_size = ctx.options.batch_size;
-  train.seed = ctx.options.seed ^ 0xB5;
-  train.observer = ctx.observer;
-  train.run_name = run_name;
-  train.dataset_name = ctx.dataset->name;
-  return train;
+train::LoopOptions MakeLoopOptions(const MatcherContext& ctx,
+                                   const std::string& run_name) {
+  train::LoopOptions options;
+  options.epochs = ctx.options.epochs;
+  options.lr = ctx.options.lr;
+  options.batch_size = ctx.options.batch_size;
+  options.seed = ctx.options.seed ^ 0xB5;
+  options.observer = ctx.observer;
+  options.run_name = run_name;
+  options.dataset_name = ctx.dataset->name;
+  return options;
 }
 
 /// Base for the methods whose trained state is an em::PairClassifier
@@ -90,7 +90,7 @@ class DeepMatcherMatcher final : public ClassifierMatcher {
     const auto train = encoder_->EncodeAll(*ctx.dataset, ctx.split->labeled);
     const auto valid = encoder_->EncodeAll(*ctx.dataset, ctx.split->valid);
     em::TrainClassifier(model_.get(), train, valid,
-                        MakeTrainOptions(ctx, Name()));
+                        MakeLoopOptions(ctx, Name()));
   }
 };
 
@@ -105,7 +105,7 @@ class BertMatcher final : public ClassifierMatcher {
     const auto train = encoder_->EncodeAll(*ctx.dataset, ctx.split->labeled);
     const auto valid = encoder_->EncodeAll(*ctx.dataset, ctx.split->valid);
     em::TrainClassifier(model_.get(), train, valid,
-                        MakeTrainOptions(ctx, Name()));
+                        MakeLoopOptions(ctx, Name()));
   }
 };
 
@@ -120,7 +120,7 @@ class SentenceBertMatcher final : public ClassifierMatcher {
     const auto train = encoder_->EncodeAll(*ctx.dataset, ctx.split->labeled);
     const auto valid = encoder_->EncodeAll(*ctx.dataset, ctx.split->valid);
     em::TrainClassifier(model_.get(), train, valid,
-                        MakeTrainOptions(ctx, Name()));
+                        MakeLoopOptions(ctx, Name()));
   }
 };
 
@@ -141,7 +141,7 @@ class DittoMatcher final : public ClassifierMatcher {
     train.insert(train.end(), augmented.begin(), augmented.end());
     const auto valid = encoder_->EncodeAll(*ctx.dataset, ctx.split->valid);
     em::TrainClassifier(model_.get(), train, valid,
-                        MakeTrainOptions(ctx, Name()));
+                        MakeLoopOptions(ctx, Name()));
   }
 };
 
@@ -156,7 +156,7 @@ class RotomMatcher final : public ClassifierMatcher {
         encoder_->EncodeAll(*ctx.dataset, ctx.split->labeled);
     const auto valid = encoder_->EncodeAll(*ctx.dataset, ctx.split->valid);
     model_ = RunRotom(*ctx.lm, labeled, valid,
-                      MakeTrainOptions(ctx, Name()), &rng);
+                      MakeLoopOptions(ctx, Name()), &rng);
   }
 };
 
@@ -178,7 +178,7 @@ class DaderMatcher final : public ClassifierMatcher {
         encoder_->EncodeAll(*ctx.dataset, ctx.split->unlabeled);
     const auto valid = encoder_->EncodeAll(*ctx.dataset, ctx.split->valid);
     model_ = RunDader(*ctx.lm, source_train, labeled, unlabeled, valid,
-                      MakeTrainOptions(ctx, Name()), &rng);
+                      MakeLoopOptions(ctx, Name()), &rng);
   }
 };
 

@@ -27,11 +27,11 @@ std::vector<em::EncodedPair> MetaFilterAugmented(
 std::unique_ptr<em::PairClassifier> RunRotom(
     const lm::PretrainedLM& lm, const std::vector<em::EncodedPair>& labeled,
     const std::vector<em::EncodedPair>& valid,
-    const em::TrainOptions& options, core::Rng* rng) {
+    const train::LoopOptions& options, core::Rng* rng) {
   // Stage 1: seed model on the original labeled data (shorter schedule).
   core::Rng seed_rng = rng->Fork();
   auto seed_model = std::make_unique<em::FinetuneModel>(lm, &seed_rng);
-  em::TrainOptions seed_options = options;
+  train::LoopOptions seed_options = options;
   seed_options.epochs = std::max(1, options.epochs / 2);
   em::TrainClassifier(seed_model.get(), labeled, valid, seed_options);
 

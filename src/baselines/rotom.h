@@ -23,7 +23,7 @@ std::vector<em::EncodedPair> MetaFilterAugmented(
 std::unique_ptr<em::PairClassifier> RunRotom(
     const lm::PretrainedLM& lm, const std::vector<em::EncodedPair>& labeled,
     const std::vector<em::EncodedPair>& valid,
-    const em::TrainOptions& options, core::Rng* rng);
+    const train::LoopOptions& options, core::Rng* rng);
 
 }  // namespace promptem::baselines
 

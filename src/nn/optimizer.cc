@@ -2,8 +2,6 @@
 
 #include <cmath>
 
-#include "core/status.h"
-
 namespace promptem::nn {
 
 namespace {
@@ -71,13 +69,6 @@ void AdamW::Step() {
 
 void AdamW::ZeroGrad() {
   for (auto& p : params_) p.ZeroGrad();
-}
-
-float WarmupLr(float base_lr, int64_t step, int64_t warmup_steps) {
-  PROMPTEM_CHECK(step >= 1);
-  if (warmup_steps <= 0 || step >= warmup_steps) return base_lr;
-  return base_lr * static_cast<float>(step) /
-         static_cast<float>(warmup_steps);
 }
 
 }  // namespace promptem::nn

@@ -30,12 +30,6 @@ class AdamW {
   /// Zeroes every tracked parameter's gradient.
   void ZeroGrad();
 
-  /// Adjusts the learning rate (for warmup/decay schedules).
-  void set_lr(float lr) { config_.lr = lr; }
-  float lr() const { return config_.lr; }
-
-  int64_t step_count() const { return step_count_; }
-
  private:
   std::vector<tensor::Tensor> params_;
   AdamWConfig config_;
@@ -43,10 +37,6 @@ class AdamW {
   std::vector<std::vector<float>> v_;
   int64_t step_count_ = 0;
 };
-
-/// Linear warmup for `warmup_steps`, then constant. Returns the lr to use
-/// at `step` (1-based).
-float WarmupLr(float base_lr, int64_t step, int64_t warmup_steps);
 
 }  // namespace promptem::nn
 

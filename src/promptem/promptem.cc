@@ -45,8 +45,6 @@ PromptEMResult PromptEM::Run(const data::GemDataset& dataset,
       encoder.EncodeAll(dataset, split.test);
 
   SelfTrainingConfig st = config_.self_training;
-  st.use_pseudo_labels = config_.use_self_training;
-  st.use_pruning = config_.use_data_pruning;
   st.seed = config_.seed;
   st.teacher_options.seed = config_.seed ^ 0x51ED;
   st.student_options.seed = config_.seed ^ 0x9A3F;

@@ -10,13 +10,13 @@
 
 namespace promptem::em {
 
-/// Full PromptEM configuration: the three modules of the paper and the
-/// ablation switches used by Table 2 (w/o PT, w/o LST, w/o DDP).
+/// Full PromptEM configuration: the three modules of the paper. Table 2's
+/// ablations are use_prompt_tuning (w/o PT) here and
+/// self_training.use_pseudo_labels (w/o LST) and self_training.use_pruning
+/// (w/o DDP) in the self-training config.
 struct PromptEMConfig {
   PromptModelConfig model;
-  bool use_prompt_tuning = true;   ///< false = fine-tune (w/o PT)
-  bool use_self_training = true;   ///< false = teacher only (w/o LST)
-  bool use_data_pruning = true;    ///< false = no DDP
+  bool use_prompt_tuning = true;  ///< false = fine-tune (w/o PT)
   SelfTrainingConfig self_training;
   uint64_t seed = 7;
 };

@@ -25,11 +25,7 @@ void TrainStudentWithPruning(PairClassifier* student,
                              double* best_f1) {
   core::Rng rng(config.student_options.seed);
 
-  train::LoopOptions loop_options;
-  loop_options.epochs = config.student_options.epochs;
-  loop_options.batch_size = config.student_options.batch_size;
-  loop_options.lr = config.student_options.lr;
-  loop_options.weight_decay = config.student_options.weight_decay;
+  train::LoopOptions loop_options = config.student_options;
   // The student re-derives the identity order every epoch (the historical
   // convention; pruning invalidates a persistent permutation anyway).
   loop_options.reset_order_each_epoch = true;
@@ -42,11 +38,7 @@ void TrainStudentWithPruning(PairClassifier* student,
   // best-on-validation: an epoch only snapshots by beating the incoming
   // cross-phase best.
   loop_options.best_score_init = *best_f1;
-  loop_options.observer = config.student_options.observer;
-  loop_options.run_name = config.student_options.run_name.empty()
-                              ? "student"
-                              : config.student_options.run_name;
-  loop_options.dataset_name = config.student_options.dataset_name;
+  if (loop_options.run_name.empty()) loop_options.run_name = "student";
 
   train::TrainLoop loop(student->AsModule(), loop_options);
   loop.OnParallelStep([&](size_t index, core::Rng* sample_rng) {
@@ -115,7 +107,7 @@ std::unique_ptr<PairClassifier> RunSelfTraining(
   std::vector<uint64_t> u_keys = config.embed_keys;
   PROMPTEM_CHECK(u_keys.empty() || u_keys.size() == d_u.size());
 
-  TrainOptions teacher_options = config.teacher_options;
+  train::LoopOptions teacher_options = config.teacher_options;
   if (teacher_options.run_name.empty()) teacher_options.run_name = "teacher";
 
   // Teachers and students share one architecture (same factory), so the
@@ -124,7 +116,7 @@ std::unique_ptr<PairClassifier> RunSelfTraining(
   std::vector<std::vector<float>> best_snapshot;
   double best_f1 = -1.0;
 
-  for (int iteration = 0; iteration < config.iterations; ++iteration) {
+  for (int iteration = 0; iteration < kSelfTrainingIterations; ++iteration) {
     // Teacher phase (lines 2-4).
     core::Timer teacher_timer;
     std::unique_ptr<PairClassifier> teacher = factory();
@@ -134,17 +126,17 @@ std::unique_ptr<PairClassifier> RunSelfTraining(
 
     if (!config.use_pseudo_labels) {
       // Ablation "w/o LST": the teacher IS the model.
-      stats->student_best_valid = stats->teacher_result.best_valid;
+      stats->student_best_valid = stats->teacher_result.best_eval;
       return teacher;
     }
 
     // The teacher competes with the students for best-on-validation, so a
     // noisy pseudo-label round can never make the final model worse than
     // plain supervised training.
-    if (stats->teacher_result.best_valid.F1() > best_f1) {
-      best_f1 = stats->teacher_result.best_valid.F1();
-      best_snapshot = SnapshotParams(*teacher->AsModule());
-      stats->student_best_valid = stats->teacher_result.best_valid;
+    if (stats->teacher_result.best_eval.F1() > best_f1) {
+      best_f1 = stats->teacher_result.best_eval.F1();
+      best_snapshot = train::SnapshotModuleParams(*teacher->AsModule());
+      stats->student_best_valid = stats->teacher_result.best_eval;
     }
 
     // Uncertainty-aware pseudo-label selection (lines 5-8).
@@ -199,7 +191,7 @@ std::unique_ptr<PairClassifier> RunSelfTraining(
     TrainClassifier(best_model.get(), d_l, valid, config.student_options);
     return best_model;
   }
-  RestoreParams(best_model->AsModule(), best_snapshot);
+  train::RestoreModuleParams(best_model->AsModule(), best_snapshot);
   best_model->AsModule()->Eval();
   return best_model;
 }

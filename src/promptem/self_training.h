@@ -12,14 +12,24 @@ namespace promptem::em {
 /// pre-trained LM.
 using ModelFactory = std::function<std::unique_ptr<PairClassifier>()>;
 
-/// Lightweight Self-Training configuration (Algorithm 1 of §4).
+/// Teacher/student rounds of Algorithm 1 (the paper runs one).
+inline constexpr int kSelfTrainingIterations = 1;
+
+/// Lightweight Self-Training configuration (Algorithm 1 of §4). The
+/// defaults are train::RunOptions' (u_r 0.10, e_r 0.20 every 2 epochs).
+///
+/// The teacher trains with `teacher_options` as given (run name "teacher"
+/// when empty). The student starts from a copy of `student_options`; the
+/// driver overrides only what pruning and cross-phase selection need:
+/// reset_order_each_epoch (true), rng (seeded from student_options.seed),
+/// restore_best (false), best_score_init (the best F1 so far) and an empty
+/// run_name ("student").
 struct SelfTrainingConfig {
-  int iterations = 1;  ///< paper default
-  TrainOptions teacher_options;
-  TrainOptions student_options;
+  train::LoopOptions teacher_options;
+  train::LoopOptions student_options;
   double pseudo_ratio = 0.10;  ///< u_r: fraction of D_U pseudo-labeled
-  double prune_ratio = 0.25;   ///< e_r: fraction of D_L pruned per pruning
-  int prune_every = 3;         ///< prune every this many student epochs
+  double prune_ratio = 0.20;   ///< e_r: fraction of D_L pruned per pruning
+  int prune_every = 2;         ///< prune every this many student epochs
   int mc_passes = 10;          ///< MC-Dropout passes (paper: 10)
   bool use_pseudo_labels = true;  ///< LST switch (ablation w/o LST)
   bool use_pruning = true;        ///< DDP switch (ablation w/o DDP)
@@ -35,7 +45,7 @@ struct SelfTrainingConfig {
 
 /// Observability for the benchmark tables.
 struct SelfTrainingStats {
-  TrainResult teacher_result;
+  train::LoopResult teacher_result;
   Metrics student_best_valid;
   PseudoLabelResult pseudo;      ///< last iteration's selection
   /// Samples removed by DDP. The student's last epoch never prunes (no

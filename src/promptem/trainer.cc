@@ -1,20 +1,8 @@
 #include "promptem/trainer.h"
 
-#include <utility>
-
 #include "promptem/scoring.h"
-#include "train/train_loop.h"
 
 namespace promptem::em {
-
-std::vector<std::vector<float>> SnapshotParams(const nn::Module& module) {
-  return train::SnapshotModuleParams(module);
-}
-
-void RestoreParams(nn::Module* module,
-                   const std::vector<std::vector<float>>& snapshot) {
-  train::RestoreModuleParams(module, snapshot);
-}
 
 std::vector<int> PredictLabels(PairClassifier* model,
                                const std::vector<EncodedPair>& examples) {
@@ -31,41 +19,25 @@ Metrics Evaluate(PairClassifier* model,
   return MetricsFromProbs(ScoreBatch(model, examples), gold);
 }
 
-TrainResult TrainClassifier(PairClassifier* model,
-                            const std::vector<EncodedPair>& train,
-                            const std::vector<EncodedPair>& valid,
-                            const TrainOptions& options) {
+train::LoopResult TrainClassifier(PairClassifier* model,
+                                  const std::vector<EncodedPair>& train,
+                                  const std::vector<EncodedPair>& valid,
+                                  const train::LoopOptions& options) {
   PROMPTEM_CHECK(model != nullptr);
   PROMPTEM_CHECK(!train.empty());
   nn::Module* module = model->AsModule();
 
-  train::LoopOptions loop_options;
-  loop_options.epochs = options.epochs;
-  loop_options.batch_size = options.batch_size;
-  loop_options.lr = options.lr;
-  loop_options.weight_decay = options.weight_decay;
-  loop_options.seed = options.seed;
-  loop_options.early_stop_patience = options.early_stop_patience;
-  loop_options.observer = options.observer;
-  loop_options.run_name = options.run_name;
-  loop_options.dataset_name = options.dataset_name;
-
-  train::TrainLoop loop(module, loop_options);
+  train::TrainLoop loop(module, options);
   loop.OnParallelStep([&](size_t index, core::Rng* rng) {
     const EncodedPair& x = train[index];
     return model->Loss(x, x.label, rng);
   });
-  if (options.select_best_on_valid && !valid.empty()) {
+  if (!valid.empty()) {
     loop.OnEval([&] { return Evaluate(model, valid); });
   }
 
-  train::LoopResult run = loop.Run(train.size());
-
-  TrainResult result;
-  result.epoch_losses = std::move(run.epoch_losses);
-  result.best_valid = run.best_eval;
-  result.best_epoch = run.best_epoch;
-  result.samples_trained = run.samples_processed;
+  train::LoopResult result = loop.Run(train.size());
+  if (options.restore_best) result.best_snapshot.clear();
   module->Eval();
   return result;
 }

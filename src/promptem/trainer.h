@@ -3,13 +3,12 @@
 
 #include <array>
 #include <functional>
-#include <string>
 #include <vector>
 
 #include "nn/module.h"
 #include "promptem/encoding.h"
 #include "promptem/metrics.h"
-#include "train/observer.h"
+#include "train/train_loop.h"
 
 namespace promptem::em {
 
@@ -48,40 +47,17 @@ class PairClassifier {
   virtual nn::Module* AsModule() = 0;
 };
 
-/// Supervised training configuration. The small from-scratch LM wants a
-/// larger learning rate than the paper's 2e-5 for RoBERTa-base.
-struct TrainOptions {
-  int epochs = 10;
-  int batch_size = 8;  ///< gradient-accumulation group
-  float lr = 5e-3f;
-  float weight_decay = 0.01f;
-  bool select_best_on_valid = true;  ///< restore best-F1 weights at the end
-  /// Stop after this many consecutive epochs without a validation-F1
-  /// improvement (0 = disabled; requires select_best_on_valid).
-  int early_stop_patience = 0;
-  uint64_t seed = 17;
-  train::TrainObserver* observer = nullptr;  ///< not owned; may be null
-  std::string run_name;                      ///< observer label
-  std::string dataset_name;                  ///< observer label
-};
-
-/// Per-run training statistics.
-struct TrainResult {
-  std::vector<float> epoch_losses;
-  Metrics best_valid;
-  int best_epoch = -1;          ///< 1-based; -1 when no epoch improved
-  int64_t samples_trained = 0;  ///< total per-sample steps across epochs
-};
-
-/// Trains `model` on `train` (labels from EncodedPair::label), evaluating
-/// on `valid` each epoch and restoring the best-F1 snapshot at the end
-/// (the paper selects the epoch with the highest validation F1). A thin
-/// adapter over train::TrainLoop's data-parallel mode; leaves the model
-/// in eval mode.
-TrainResult TrainClassifier(PairClassifier* model,
-                            const std::vector<EncodedPair>& train,
-                            const std::vector<EncodedPair>& valid,
-                            const TrainOptions& options);
+/// Trains `model` on `train` (labels from EncodedPair::label) through
+/// train::TrainLoop's data-parallel mode, evaluating on `valid` each epoch
+/// and restoring the best-F1 weights at the end (the paper selects the
+/// epoch with the highest validation F1); an empty `valid` skips selection
+/// and keeps the last epoch's weights. `options` goes to the loop as is.
+/// The returned best_snapshot is cleared once restored, so the model holds
+/// the only copy of the best weights. Leaves the model in eval mode.
+train::LoopResult TrainClassifier(PairClassifier* model,
+                                  const std::vector<EncodedPair>& train,
+                                  const std::vector<EncodedPair>& valid,
+                                  const train::LoopOptions& options);
 
 /// Evaluates in eval mode (deterministic) against the labels in `examples`.
 Metrics Evaluate(PairClassifier* model,
@@ -90,13 +66,6 @@ Metrics Evaluate(PairClassifier* model,
 /// Predicted labels in eval mode (threshold 0.5 on P(yes)).
 std::vector<int> PredictLabels(PairClassifier* model,
                                const std::vector<EncodedPair>& examples);
-
-/// Copies all parameter values out of / back into a module (best-epoch
-/// snapshotting, teacher/student hand-off). Aliases for the train:: pair,
-/// kept under the em:: name the self-training and test code uses.
-std::vector<std::vector<float>> SnapshotParams(const nn::Module& module);
-void RestoreParams(nn::Module* module,
-                   const std::vector<std::vector<float>>& snapshot);
 
 }  // namespace promptem::em
 

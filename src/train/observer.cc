@@ -45,8 +45,13 @@ void JsonlRunLogger::OnEpochEnd(const EpochStats& stats) {
   line +=
       ", \"config_hash\": " + data::ToJson(data::Value::Str(meta_.config_hash));
   line += "}\n";
-  std::fwrite(line.data(), 1, line.size(), file_);
-  std::fflush(file_);
+  if (std::fwrite(line.data(), 1, line.size(), file_) != line.size() ||
+      std::fflush(file_) != 0) {
+    PROMPTEM_LOG(Warn) << "run-log: cannot write to " << path_
+                       << "; later epoch records are dropped";
+    std::fclose(file_);
+    file_ = nullptr;
+  }
 }
 
 }  // namespace promptem::train

@@ -75,8 +75,9 @@ class TrainObserver {
 /// sweep concatenates into one greppable, machine-parseable log.
 class JsonlRunLogger : public TrainObserver {
  public:
-  /// Opens `path` for appending. ok() reports whether the open succeeded;
-  /// a failed logger swallows events instead of crashing the run.
+  /// Opens `path` for appending. ok() turns false when the open, a write
+  /// or a flush fails; that failure logs one warning naming the path, and
+  /// from then on the logger swallows events instead of crashing the run.
   explicit JsonlRunLogger(std::string path);
   ~JsonlRunLogger() override;
 

@@ -65,15 +65,12 @@ TrainLoop& TrainLoop::OnEpochHook(EpochHookFn fn) {
 
 std::string TrainLoop::ConfigHash() const {
   const std::string canonical = core::StrFormat(
-      "epochs=%d;batch=%d;lr=%.9g;wd=%.9g;clip=%.9g;shuffle=%d;reset=%d;"
-      "seed=%llu;extern_rng=%d;mode=%s;patience=%d",
+      "epochs=%d;batch=%d;lr=%.9g;reset=%d;seed=%llu;extern_rng=%d;mode=%s",
       options_.epochs, options_.batch_size, options_.lr,
-      options_.weight_decay, options_.max_grad_norm,
-      options_.shuffle ? 1 : 0, options_.reset_order_each_epoch ? 1 : 0,
+      options_.reset_order_each_epoch ? 1 : 0,
       static_cast<unsigned long long>(options_.seed),
       options_.rng != nullptr ? 1 : 0,
-      sequential_fn_ ? "sequential" : "data-parallel",
-      options_.early_stop_patience);
+      sequential_fn_ ? "sequential" : "data-parallel");
   uint64_t hash = 1469598103934665603ULL;  // FNV-1a 64
   for (unsigned char c : canonical) {
     hash ^= c;
@@ -182,8 +179,6 @@ LoopResult TrainLoop::Run(size_t dataset_size) {
 
   nn::AdamWConfig opt_config;
   opt_config.lr = options_.lr;
-  opt_config.weight_decay = options_.weight_decay;
-  opt_config.max_grad_norm = options_.max_grad_norm;
   nn::AdamW optimizer(module_->Parameters(), opt_config);
 
   LoopResult result;
@@ -205,7 +200,6 @@ LoopResult TrainLoop::Run(size_t dataset_size) {
   std::vector<size_t> order(dataset_size);
   std::iota(order.begin(), order.end(), 0);
   size_t current_size = dataset_size;
-  int stale_evals = 0;
 
   for (int epoch = 1; epoch <= options_.epochs; ++epoch) {
     module_->Train();
@@ -214,7 +208,7 @@ LoopResult TrainLoop::Run(size_t dataset_size) {
       order.resize(current_size);
       std::iota(order.begin(), order.end(), 0);
     }
-    if (options_.shuffle) rng->Shuffle(&order);
+    rng->Shuffle(&order);
 
     core::Timer epoch_timer;
     int64_t processed = 0;
@@ -240,11 +234,10 @@ LoopResult TrainLoop::Run(size_t dataset_size) {
     // dataset; the next epoch re-indexes against the new size.
     if (epoch_hook_) current_size = epoch_hook_(epoch, rng);
 
-    bool improved = false;
     if (eval_fn_) {
       const em::Metrics metrics = eval_fn_();
       const double score = metrics.F1();
-      improved = score > result.best_score;
+      const bool improved = score > result.best_score;
       if (improved) {
         result.best_score = score;
         result.best_eval = metrics;
@@ -264,15 +257,6 @@ LoopResult TrainLoop::Run(size_t dataset_size) {
             ? static_cast<double>(processed) / stats.seconds
             : 0.0;
     if (observer != nullptr) observer->OnEpochEnd(stats);
-
-    if (eval_fn_ && options_.early_stop_patience > 0) {
-      stale_evals = improved ? 0 : stale_evals + 1;
-      if (stale_evals >= options_.early_stop_patience &&
-          epoch < options_.epochs) {
-        result.early_stopped = true;
-        break;
-      }
-    }
   }
 
   if (options_.restore_best && !result.best_snapshot.empty()) {

@@ -34,7 +34,7 @@ using SequentialStepFn = std::function<std::optional<tensor::Tensor>(
     size_t index, core::Rng* rng)>;
 
 /// Per-epoch evaluation; the returned metrics drive best-checkpoint
-/// tracking (score = F1) and early stopping.
+/// tracking (score = F1).
 using EvalFn = std::function<em::Metrics()>;
 
 /// Post-epoch hook, run after the epoch's batches and before evaluation.
@@ -43,14 +43,13 @@ using EvalFn = std::function<em::Metrics()>;
 /// hook randomness stays on the run's deterministic timeline.
 using EpochHookFn = std::function<size_t(int epoch, core::Rng* rng)>;
 
-/// One training run's knobs. The defaults mirror em::TrainOptions.
+/// One training run's knobs — the only training-options type, from the
+/// matchers and self-training down to the loop. The optimizer is AdamW
+/// with nn::AdamWConfig's weight decay and gradient clipping.
 struct LoopOptions {
   int epochs = 10;
   int batch_size = 8;  ///< gradient-accumulation group
   float lr = 5e-3f;
-  float weight_decay = 0.01f;
-  float max_grad_norm = 1.0f;  ///< <= 0 disables clipping
-  bool shuffle = true;
   /// Rebuild the identity order every epoch instead of re-shuffling the
   /// previous permutation (required when the epoch hook resizes the
   /// dataset; also the historical convention of the self-training student).
@@ -64,8 +63,6 @@ struct LoopOptions {
   /// Incoming best score; an epoch only becomes "best" by beating this
   /// (self-training phases compete across teacher/student rounds).
   double best_score_init = -1.0;
-  /// Stop after this many consecutive non-improving evals (0 = disabled).
-  int early_stop_patience = 0;
   TrainObserver* observer = nullptr;  ///< not owned; may be null
   std::string run_name;               ///< observer label ("teacher", "Ditto")
   std::string dataset_name;           ///< observer label
@@ -79,7 +76,6 @@ struct LoopResult {
   int best_epoch = -1;       ///< 1-based; -1 when no epoch improved
   int64_t samples_processed = 0;
   int epochs_run = 0;
-  bool early_stopped = false;
   /// Parameter snapshot at the best epoch (empty when no epoch improved).
   std::vector<std::vector<float>> best_snapshot;
 };
@@ -87,9 +83,9 @@ struct LoopResult {
 /// The one training loop every learner in the repo runs through —
 /// prompt-tuning, fine-tuning, MLM pre-training, the baseline heads, and
 /// self-training student rounds. Owns epoch/minibatch iteration,
-/// deterministic shuffling, gradient accumulation, AdamW stepping,
-/// best-checkpoint tracking, and optional early stopping; the learner
-/// plugs in as a per-sample loss callback.
+/// deterministic shuffling, gradient accumulation, AdamW stepping and
+/// best-checkpoint tracking; the learner plugs in as a per-sample loss
+/// callback.
 ///
 /// Two execution modes, chosen by which step callback is set:
 ///  - data-parallel (ParallelStepFn): minibatch samples run concurrently,

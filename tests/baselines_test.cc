@@ -75,13 +75,27 @@ TEST(RegistryTest, AblationConfigSwitches) {
   EXPECT_FALSE(
       MakePromptEmConfig(Method::kPromptEMNoPT, options).use_prompt_tuning);
   EXPECT_FALSE(MakePromptEmConfig(Method::kPromptEMNoLST, options)
-                   .use_self_training);
-  EXPECT_FALSE(
-      MakePromptEmConfig(Method::kPromptEMNoDDP, options).use_data_pruning);
+                   .self_training.use_pseudo_labels);
+  EXPECT_FALSE(MakePromptEmConfig(Method::kPromptEMNoDDP, options)
+                   .self_training.use_pruning);
   em::PromptEMConfig full = MakePromptEmConfig(Method::kPromptEM, options);
   EXPECT_TRUE(full.use_prompt_tuning);
-  EXPECT_TRUE(full.use_self_training);
-  EXPECT_TRUE(full.use_data_pruning);
+  EXPECT_TRUE(full.self_training.use_pseudo_labels);
+  EXPECT_TRUE(full.self_training.use_pruning);
+}
+
+TEST(RegistryTest, RunOptionsDefaultsMatchSelfTrainingDefaults) {
+  // One u_r and one e_r: a SelfTrainingConfig built directly trains with
+  // the same self-training knobs as one built from default RunOptions.
+  const em::SelfTrainingConfig from_options =
+      MakePromptEmConfig(Method::kPromptEM, RunOptions{}).self_training;
+  const em::SelfTrainingConfig defaults;
+  EXPECT_EQ(from_options.pseudo_ratio, defaults.pseudo_ratio);
+  EXPECT_EQ(from_options.prune_ratio, defaults.prune_ratio);
+  EXPECT_EQ(from_options.prune_every, defaults.prune_every);
+  EXPECT_EQ(from_options.mc_passes, defaults.mc_passes);
+  EXPECT_EQ(from_options.use_pseudo_labels, defaults.use_pseudo_labels);
+  EXPECT_EQ(from_options.use_pruning, defaults.use_pruning);
 }
 
 // --- DeepMatcher ---
@@ -201,7 +215,7 @@ TEST(RotomTest, PipelineProducesModel) {
   auto labeled = encoder.EncodeAll(ds, ds.train);
   labeled.resize(std::min<size_t>(labeled.size(), 12));
   auto valid = encoder.EncodeAll(ds, ds.valid);
-  em::TrainOptions options;
+  train::LoopOptions options;
   options.epochs = 2;
   core::Rng rng(8);
   auto model = RunRotom(TinyLM(), labeled, valid, options, &rng);
@@ -229,7 +243,7 @@ TEST(DaderTest, TransferPipelineRuns) {
   labeled.resize(8);
   auto unlabeled = encoder.EncodeAll(ds, ds.test);
   auto valid = encoder.EncodeAll(ds, ds.valid);
-  em::TrainOptions options;
+  train::LoopOptions options;
   options.epochs = 2;
   core::Rng rng(9);
   // Source = the same tiny dataset (adequate for a pipeline test).

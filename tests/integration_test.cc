@@ -55,7 +55,7 @@ TEST(IntegrationTest, FewShotPromptTuningLearns) {
   core::Rng model_rng(2);
   em::PromptModel model(IntegrationLM(), em::PromptModelConfig{},
                         &model_rng);
-  em::TrainOptions options;
+  train::LoopOptions options;
   options.epochs = 10;
   em::TrainClassifier(&model, labeled, valid, options);
   // Predict-all-positive scores ~0.5 F1 at a 1/3 positive rate.
@@ -73,7 +73,7 @@ TEST(IntegrationTest, FewShotPromptCompetitiveWithFreshHead) {
   auto labeled = encoder.EncodeAll(ds, split.labeled);
   auto valid = encoder.EncodeAll(ds, split.valid);
   auto test = encoder.EncodeAll(ds, split.test);
-  em::TrainOptions options;
+  train::LoopOptions options;
   options.epochs = 10;
   core::Rng prompt_rng(3);
   em::PromptModel prompt(IntegrationLM(), em::PromptModelConfig{},

@@ -503,13 +503,6 @@ TEST(AdamWTest, GradClippingBoundsUpdate) {
   EXPECT_LT(std::fabs(w.at(0)), 1.1f);
 }
 
-TEST(WarmupTest, LinearRamp) {
-  EXPECT_FLOAT_EQ(WarmupLr(1.0f, 5, 10), 0.5f);
-  EXPECT_FLOAT_EQ(WarmupLr(1.0f, 10, 10), 1.0f);
-  EXPECT_FLOAT_EQ(WarmupLr(1.0f, 50, 10), 1.0f);
-  EXPECT_FLOAT_EQ(WarmupLr(1.0f, 1, 0), 1.0f);
-}
-
 TEST(SerializeTest, SaveLoadRoundTrip) {
   core::Rng rng(1);
   Mlp a({4, 6, 2}, &rng);

@@ -205,7 +205,7 @@ TEST(DeterminismTest, TrainingBitwiseIdenticalAcrossPoolSizes) {
   const text::Vocab vocab = TestVocab();
   const auto train = SyntheticPairs(vocab, 24, 31);
   const auto valid = SyntheticPairs(vocab, 8, 41);
-  em::TrainOptions options;
+  train::LoopOptions options;
   options.epochs = 2;
   options.batch_size = 4;
   options.seed = 17;
@@ -213,9 +213,10 @@ TEST(DeterminismTest, TrainingBitwiseIdenticalAcrossPoolSizes) {
     core::Rng model_rng(7);
     baselines::DeepMatcherModel model(vocab, /*embed_dim=*/8,
                                       /*hidden_dim=*/4, &model_rng);
-    em::TrainResult result =
+    train::LoopResult result =
         em::TrainClassifier(&model, train, valid, options);
-    return std::make_pair(em::SnapshotParams(model), result.best_valid.F1());
+    return std::make_pair(train::SnapshotModuleParams(model),
+                          result.best_eval.F1());
   };
   auto [single, pooled] = UnderBothPoolSizes(run);
   EXPECT_EQ(single.second, pooled.second);  // identical validation F1

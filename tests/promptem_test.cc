@@ -353,10 +353,11 @@ TEST(TrainerTest, LossDecreasesOverEpochs) {
   core::Rng rng(33);
   PromptModel model(TinyLM(), PromptModelConfig{}, &rng);
   EncodedFixture f = MakeEncoded();
-  TrainOptions options;
+  train::LoopOptions options;
   options.epochs = 4;
   options.lr = 5e-3f;
-  TrainResult result = TrainClassifier(&model, f.train, f.valid, options);
+  train::LoopResult result =
+      TrainClassifier(&model, f.train, f.valid, options);
   ASSERT_EQ(result.epoch_losses.size(), 4u);
   EXPECT_LT(result.epoch_losses.back(), result.epoch_losses.front());
   EXPECT_GE(result.best_epoch, 0);
@@ -365,15 +366,50 @@ TEST(TrainerTest, LossDecreasesOverEpochs) {
 TEST(TrainerTest, SnapshotRestoreRoundTrip) {
   core::Rng rng(34);
   FinetuneModel model(TinyLM(), &rng);
-  auto snapshot = SnapshotParams(model);
+  auto snapshot = train::SnapshotModuleParams(model);
   // Perturb.
   for (auto& p : model.Parameters()) p.data()[0] += 1.0f;
-  RestoreParams(&model, snapshot);
+  train::RestoreModuleParams(&model, snapshot);
   auto params = model.Parameters();
   size_t i = 0;
   for (auto& p : params) {
     EXPECT_EQ(p.data()[0], snapshot[i++][0]);
   }
+}
+
+/// Copies the model's parameters after every per-epoch evaluation.
+class EvalSnapshotObserver final : public train::TrainObserver {
+ public:
+  explicit EvalSnapshotObserver(const nn::Module* module) : module_(module) {}
+  void OnEvalEnd(const train::EvalStats&) override {
+    snapshots.push_back(train::SnapshotModuleParams(*module_));
+  }
+
+  std::vector<std::vector<std::vector<float>>> snapshots;
+
+ private:
+  const nn::Module* module_;
+};
+
+TEST(TrainerTest, TrainClassifierRestoresBestEpochAndDropsSnapshot) {
+  core::Rng rng(36);
+  FinetuneModel model(TinyLM(), &rng);
+  EncodedFixture f = MakeEncoded();
+  EvalSnapshotObserver observer(&model);
+  train::LoopOptions options;
+  options.epochs = 4;
+  options.observer = &observer;
+  train::LoopResult result =
+      TrainClassifier(&model, f.train, f.valid, options);
+  EXPECT_TRUE(result.best_snapshot.empty());
+  ASSERT_EQ(observer.snapshots.size(), 4u);
+  // An early best epoch, so restoring it moves the weights.
+  ASSERT_GE(result.best_epoch, 1);
+  ASSERT_LT(result.best_epoch, options.epochs);
+  const auto weights = train::SnapshotModuleParams(model);
+  EXPECT_EQ(weights,
+            observer.snapshots[static_cast<size_t>(result.best_epoch - 1)]);
+  EXPECT_NE(weights, observer.snapshots.back());
 }
 
 TEST(TrainerTest, EvaluateDeterministicInEvalMode) {
@@ -580,6 +616,42 @@ TEST(SelfTrainingTest, WithoutLstReturnsTeacher) {
   EXPECT_EQ(stats.student_samples, 0);
 }
 
+/// Records the identity of every training loop it observes.
+class LoopMetaRecorder final : public train::TrainObserver {
+ public:
+  void OnLoopBegin(const train::RunMeta& meta) override {
+    metas.push_back(meta);
+  }
+
+  std::vector<train::RunMeta> metas;
+};
+
+TEST(SelfTrainingTest, ObserverSeesTeacherThenConfiguredStudent) {
+  EncodedFixture f = MakeEncoded();
+  core::Rng factory_rng(65);
+  ModelFactory factory = [&factory_rng]() -> std::unique_ptr<PairClassifier> {
+    return std::make_unique<FinetuneModel>(TinyLM(), &factory_rng);
+  };
+  LoopMetaRecorder recorder;
+  SelfTrainingConfig config = FastStConfig();
+  config.teacher_options.observer = &recorder;
+  config.teacher_options.dataset_name = "unit";
+  config.student_options.observer = &recorder;
+  config.student_options.run_name = "pupil";
+  config.student_options.dataset_name = "unit";
+  config.student_options.batch_size = 5;
+  SelfTrainingStats stats;
+  RunSelfTraining(factory, f.train, f.test, f.valid, config, &stats);
+
+  ASSERT_EQ(recorder.metas.size(), 2u);
+  EXPECT_EQ(recorder.metas[0].run_name, "teacher");
+  EXPECT_EQ(recorder.metas[0].dataset, "unit");
+  EXPECT_EQ(recorder.metas[1].run_name, "pupil");
+  EXPECT_EQ(recorder.metas[1].dataset, "unit");
+  EXPECT_EQ(recorder.metas[1].epochs, config.student_options.epochs);
+  EXPECT_EQ(recorder.metas[1].batch_size, 5);
+}
+
 TEST(SelfTrainingTest, PruningRemovesSamples) {
   EncodedFixture f = MakeEncoded();
   core::Rng factory_rng(63);
@@ -654,7 +726,7 @@ TEST(PromptEmTest, AblationSwitchesRespected) {
   data::LowResourceSplit split = data::MakeLowResourceSplit(ds, 0.25, &rng);
   PromptEMConfig config;
   config.self_training = FastStConfig();
-  config.use_self_training = false;
+  config.self_training.use_pseudo_labels = false;
   PromptEM promptem(&TinyLM(), config);
   PromptEMResult result = promptem.Run(ds, split);
   EXPECT_EQ(result.stats.student_samples, 0);

@@ -118,7 +118,7 @@ inline std::vector<GoldenRun> CaptureGoldenRuns() {
     runs.push_back(run);
   }
 
-  em::TrainOptions train_options;
+  train::LoopOptions train_options;
   train_options.epochs = 5;
   train_options.seed = 17;
 
@@ -128,10 +128,10 @@ inline std::vector<GoldenRun> CaptureGoldenRuns() {
     core::Rng model_rng(7);
     baselines::DeepMatcherModel model(lm.vocab(), /*embed_dim=*/16,
                                       /*hidden_dim=*/8, &model_rng);
-    em::TrainResult result =
+    train::LoopResult result =
         em::TrainClassifier(&model, train, valid, train_options);
     run.epoch_losses = result.epoch_losses;
-    run.valid_f1 = result.best_valid.F1();
+    run.valid_f1 = result.best_eval.F1();
     run.test_f1 = em::Evaluate(&model, test).F1();
     runs.push_back(run);
   }
@@ -141,10 +141,10 @@ inline std::vector<GoldenRun> CaptureGoldenRuns() {
     run.name = "finetune_classifier";
     core::Rng model_rng(9);
     em::FinetuneModel model(lm, &model_rng);
-    em::TrainResult result =
+    train::LoopResult result =
         em::TrainClassifier(&model, train, valid, train_options);
     run.epoch_losses = result.epoch_losses;
-    run.valid_f1 = result.best_valid.F1();
+    run.valid_f1 = result.best_eval.F1();
     run.test_f1 = em::Evaluate(&model, test).F1();
     runs.push_back(run);
   }

@@ -126,7 +126,6 @@ TEST(TrainLoopTest, SequentialSkipExcludesSampleFromLossAndCount) {
   train::LoopOptions options;
   options.epochs = 1;
   options.batch_size = 3;
-  options.shuffle = false;
   options.seed = 3;
 
   train::TrainLoop loop(&problem.mlp, options);
@@ -139,34 +138,6 @@ TEST(TrainLoopTest, SequentialSkipExcludesSampleFromLossAndCount) {
   EXPECT_EQ(result.samples_processed, 4);  // 4 of 8 skipped
   ASSERT_EQ(result.epoch_losses.size(), 1u);
   EXPECT_GT(result.epoch_losses[0], 0.0f);
-}
-
-TEST(TrainLoopTest, EarlyStoppingAfterPatienceExhausted) {
-  TinyProblem problem;
-  train::LoopOptions options;
-  options.epochs = 10;
-  options.batch_size = 4;
-  options.seed = 7;
-  options.early_stop_patience = 2;
-
-  int epoch_counter = 0;
-  train::TrainLoop loop(&problem.mlp, options);
-  loop.OnParallelStep(
-      [&](size_t i, core::Rng* rng) { return problem.Loss(i, rng); });
-  loop.OnEval([&] {
-    // Perfect on the first epoch, wrong afterwards: the loop should stop
-    // after two consecutive non-improving evals.
-    ++epoch_counter;
-    return epoch_counter == 1 ? em::ComputeMetrics({1}, {1})
-                              : em::ComputeMetrics({0}, {1});
-  });
-  train::LoopResult result = loop.Run(problem.features.size());
-
-  EXPECT_TRUE(result.early_stopped);
-  EXPECT_EQ(result.epochs_run, 3);  // epoch 1 improves, 2 + 3 stale
-  EXPECT_EQ(result.best_epoch, 1);
-  EXPECT_EQ(result.epoch_losses.size(), 3u);
-  EXPECT_DOUBLE_EQ(result.best_score, 1.0);
 }
 
 // ---------------------------------------------------------------------------
@@ -230,6 +201,33 @@ TEST(JsonlRunLoggerTest, WritesOneParseableRecordPerEpoch) {
   }
   EXPECT_EQ(records, 3);
   std::remove(path.c_str());
+}
+
+TEST(JsonlRunLoggerTest, FailedWriteTurnsOkFalseAndWarnsOnce) {
+  const std::string path = "/dev/full";  // every write fails with ENOSPC
+  std::FILE* probe = std::fopen(path.c_str(), "a");
+  if (probe == nullptr) GTEST_SKIP() << path << " is absent";
+  std::fclose(probe);
+
+  TinyProblem problem;
+  train::JsonlRunLogger logger(path);
+  ASSERT_TRUE(logger.ok());
+
+  train::LoopOptions options;
+  options.epochs = 2;
+  options.batch_size = 4;
+  options.observer = &logger;
+  train::TrainLoop loop(&problem.mlp, options);
+  loop.OnParallelStep(
+      [&](size_t i, core::Rng* rng) { return problem.Loss(i, rng); });
+  ::testing::internal::CaptureStderr();
+  loop.Run(problem.features.size());
+  const std::string warnings = ::testing::internal::GetCapturedStderr();
+
+  EXPECT_FALSE(logger.ok());
+  const size_t first = warnings.find(path);
+  ASSERT_NE(first, std::string::npos) << warnings;
+  EXPECT_EQ(warnings.find(path, first + 1), std::string::npos) << warnings;
 }
 
 // ---------------------------------------------------------------------------

@@ -37,16 +37,18 @@ extra_flags=("$@")
 run_suite build-checks "" -DCMAKE_BUILD_TYPE=Release
 
 # 2. The memory-safety set (every "asan" label in tests/CMakeLists.txt:
-#    execution engine, fused attention, SIMD kernels, streaming pipeline,
-#    caches, hash index, serving, fault injection, and the JSON/CSV/JSONL
-#    parsers and loaders) under AddressSanitizer.
+#    pool determinism, the training runtime, execution engine, fused
+#    attention, SIMD kernels, streaming pipeline, caches, hash index,
+#    serving, fault injection, and the JSON/CSV/JSONL parsers and loaders)
+#    under AddressSanitizer.
 run_suite build-asan asan -DPROMPTEM_SANITIZE=address
 
 # 3. The concurrency set (every "tsan" label: pool determinism, the
-#    execution engine and its sweep-shared prompt rows, fused attention,
-#    SIMD kernels, streaming pipeline, caches, hash index, serving) under
-#    ThreadSanitizer. Every "cache" suite also carries
-#    "tsan", so this matches CI's -L "tsan|cache".
+#    training runtime's data-parallel TrainLoop, the execution engine and
+#    its sweep-shared prompt rows, fused attention, SIMD kernels,
+#    streaming pipeline, caches, hash index, serving) under
+#    ThreadSanitizer. Every "cache" suite also carries "tsan", so this
+#    matches CI's -L "tsan|cache".
 run_suite build-tsan tsan -DPROMPTEM_SANITIZE=thread
 
 echo "run_checks.sh: all suites passed"
