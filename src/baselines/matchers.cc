@@ -210,9 +210,7 @@ class TdMatchMatcher final : public Matcher {
               ? static_cast<double>(stats.samples) / stats.seconds
               : 0.0;
       ctx.observer->OnEpochEnd(stats);
-      train::LoopResult result;
-      result.epochs_run = 1;
-      ctx.observer->OnLoopEnd(result);
+      ctx.observer->OnLoopEnd(train::LoopResult{});
     }
   }
 

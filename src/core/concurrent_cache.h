@@ -1,6 +1,7 @@
 #ifndef PROMPTEM_CORE_CONCURRENT_CACHE_H_
 #define PROMPTEM_CORE_CONCURRENT_CACHE_H_
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <memory>
@@ -13,7 +14,7 @@
 
 namespace promptem::core {
 
-/// A fixed-capacity concurrent cache: 64-bit keys -> shared immutable
+/// A bounded-capacity concurrent cache: 64-bit keys -> shared immutable
 /// values. The per-record building block behind the token-encoding memo
 /// (em::PairEncoder), the embedding cache (em::EmbeddingCache), and the
 /// incremental matcher's score reuse.
@@ -26,7 +27,10 @@ namespace promptem::core {
 ///    the shard lock, which keeps every interleaving TSan-clean.
 ///  - Open addressing inside a shard: power-of-two slot array, linear
 ///    probing, backward-shift deletion (no tombstones, probe chains stay
-///    short under churn).
+///    short under churn). The array starts at kMinShardSlots and doubles
+///    (rehashed under the shard lock) whenever an insert would pass half
+///    full, up to the size that holds the shard's capacity at half load,
+///    so a big, mostly empty cache costs what it holds.
 ///  - Fixed capacity with CLOCK / second-chance eviction: a hit sets the
 ///    slot's reference bit; when a full shard inserts, a clock hand
 ///    sweeps the slots, clearing reference bits until it finds a cold
@@ -53,6 +57,7 @@ class ConcurrentCache {
     uint64_t misses = 0;
     uint64_t evictions = 0;
     uint64_t entries = 0;  ///< live entries (any generation)
+    uint64_t slots = 0;    ///< slots provisioned across all shards
   };
 
   /// `capacity` bounds the total live entries (>= 1). `shards` must be a
@@ -67,13 +72,13 @@ class ConcurrentCache {
     PROMPTEM_CHECK((shards & (shards - 1)) == 0);
     shard_mask_ = shards - 1;
     const size_t per_shard = (capacity + shards - 1) / shards;
-    size_t slots = 1;
-    // Slot array sized so the capacity cap (not the load factor) is what
-    // triggers eviction: probe chains stay short at full capacity.
-    while (slots < per_shard * 2) slots *= 2;
+    size_t max_slots = 1;
+    // Final slot count sized so the capacity cap (not the load factor) is
+    // what triggers eviction: probe chains stay short at full capacity.
+    while (max_slots < per_shard * 2) max_slots *= 2;
     shards_.reserve(shards);
     for (size_t s = 0; s < shards; ++s) {
-      shards_.push_back(std::make_unique<Shard>(per_shard, slots));
+      shards_.push_back(std::make_unique<Shard>(per_shard, max_slots));
     }
     capacity_ = per_shard * shards;
   }
@@ -167,6 +172,7 @@ class ConcurrentCache {
     for (const auto& shard : shards_) {
       std::lock_guard<std::mutex> lock(shard->mu);
       s.entries += shard->size;
+      s.slots += shard->slots.size();
     }
     return s;
   }
@@ -212,8 +218,11 @@ class ConcurrentCache {
   };
 
   struct Shard {
-    Shard(size_t cap_in, size_t num_slots) : cap(cap_in), slots(num_slots) {
-      PROMPTEM_CHECK(cap >= 1 && cap < num_slots);
+    Shard(size_t cap_in, size_t max_slots_in)
+        : cap(cap_in),
+          max_slots(max_slots_in),
+          slots(std::min(kMinShardSlots, max_slots_in)) {
+      PROMPTEM_CHECK(cap >= 1 && cap < max_slots);
     }
 
     size_t Mask() const { return slots.size() - 1; }
@@ -228,11 +237,17 @@ class ConcurrentCache {
       return kNotFound;
     }
 
-    std::shared_ptr<const V> InsertNew(uint64_t key, uint64_t gen,
-                                       std::shared_ptr<const V> value) {
+    /// First free slot on `key`'s probe path. Caller holds mu.
+    Slot& FreeSlotFor(uint64_t key) {
       size_t i = static_cast<size_t>(Mix64(key)) & Mask();
       while (slots[i].used) i = (i + 1) & Mask();
-      Slot& slot = slots[i];
+      return slots[i];
+    }
+
+    std::shared_ptr<const V> InsertNew(uint64_t key, uint64_t gen,
+                                       std::shared_ptr<const V> value) {
+      if ((size + 1) * 2 > slots.size() && slots.size() < max_slots) Grow();
+      Slot& slot = FreeSlotFor(key);
       slot.key = key;
       slot.generation = gen;
       slot.value = std::move(value);
@@ -240,6 +255,18 @@ class ConcurrentCache {
       slot.referenced = true;
       ++size;
       return slot.value;
+    }
+
+    /// Doubles the slot array and rehashes every entry into it, stale
+    /// generations included (Find and the clock hand reclaim those).
+    /// Caller holds mu.
+    void Grow() {
+      std::vector<Slot> old(slots.size() * 2);
+      old.swap(slots);
+      for (Slot& entry : old) {
+        if (entry.used) FreeSlotFor(entry.key) = std::move(entry);
+      }
+      hand = 0;
     }
 
     /// Backward-shift deletion: closes the probe chain so no tombstones
@@ -286,6 +313,7 @@ class ConcurrentCache {
 
     mutable std::mutex mu;
     size_t cap;
+    size_t max_slots;  ///< final slot count, reached before `cap` entries
     size_t size = 0;
     size_t hand = 0;
     std::vector<Slot> slots;

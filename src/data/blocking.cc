@@ -9,6 +9,7 @@
 #include <string>
 #include <unordered_set>
 
+#include "core/concurrent_cache.h"
 #include "core/hashing.h"
 #include "core/status.h"
 #include "core/thread_pool.h"
@@ -27,17 +28,6 @@ constexpr size_t kRefillBatch = 256;
 
 /// Per-left-record grain for the parallel generation sweeps.
 constexpr int64_t kLeftGrain = 16;
-
-constexpr uint64_t kFnvOffset = 1469598103934665603ull;
-constexpr uint64_t kFnvPrime = 1099511628211ull;
-
-uint64_t Fnv1a64(const char* data, size_t n, uint64_t hash = kFnvOffset) {
-  for (size_t i = 0; i < n; ++i) {
-    hash ^= static_cast<unsigned char>(data[i]);
-    hash *= kFnvPrime;
-  }
-  return hash;
-}
 
 }  // namespace
 
@@ -274,36 +264,43 @@ constexpr double kMaxBucketFraction = 0.01;
 /// skipping huge buckets costs almost no recall.
 constexpr size_t kMaxBucketCap = 2048;
 
-/// The text a record is shingled over: attribute values only (plus the
-/// free text of textual records). The [COL]/[VAL] tags and attribute
-/// names of the full §2.2 serialization are shared by every record of a
-/// table — universal shingles that inflate the Jaccard similarity of
-/// *unrelated* pairs and waste bands on boilerplate buckets.
+/// Band-key memo bound: holds both tables of a 6k + 6k row match with
+/// room for the records later deltas change. Larger tables bypass the
+/// memo: one build's records would evict each other's keys before a
+/// rebuild could reuse them, so it would only add a lookup per record.
+constexpr size_t kBandKeyMemoCapacity = size_t{1} << 15;
+
+/// The text a record is shingled over, lowercased: attribute values only
+/// (plus the free text of textual records). The [COL]/[VAL] tags and
+/// attribute names of the full §2.2 serialization are shared by every
+/// record of a table — universal shingles that inflate the Jaccard
+/// similarity of *unrelated* pairs and waste bands on boilerplate
+/// buckets.
 std::string ShingleText(const Record& record) {
-  if (record.format == RecordFormat::kTextual) return record.text;
   std::string out;
-  for (const auto& [attr, value] : record.attrs) {
-    out += SerializeValue(value);
-    out += ' ';
+  if (record.format == RecordFormat::kTextual) {
+    out = record.text;
+  } else {
+    for (const auto& [attr, value] : record.attrs) {
+      out += SerializeValue(value);
+      out += ' ';
+    }
+  }
+  for (char& c : out) {
+    if (c >= 'A' && c <= 'Z') c = static_cast<char>(c - 'A' + 'a');
   }
   return out;
 }
 
-}  // namespace
-
-std::vector<uint64_t> MinHashBlocker::BandKeys(const Record& record) {
-  std::vector<uint64_t> sig(static_cast<size_t>(kNumHashes), ~0ULL);
-
-  std::string text = ShingleText(record);
-  for (char& c : text) {
-    if (c >= 'A' && c <= 'Z') c = static_cast<char>(c - 'A' + 'a');
-  }
+MinHashBlocker::BandKeyArray ComputeBandKeys(const std::string& text) {
+  std::array<uint64_t, kNumHashes> sig;
+  sig.fill(~0ULL);
   const size_t len = text.size();
   const size_t k = kShingleLen;
   const size_t n_shingles = len >= k ? len - k + 1 : (len > 0 ? 1 : 0);
   for (size_t s = 0; s < n_shingles; ++s) {
     const uint64_t base =
-        Fnv1a64(text.data() + s, std::min(k, len - s)) ^ kHashSeed;
+        core::Fnv1a64(text.data() + s, std::min(k, len - s)) ^ kHashSeed;
     for (int h = 0; h < kNumHashes; ++h) {
       const uint64_t v = core::Mix64(
           base + 0x9E3779B97F4A7C15ULL * static_cast<uint64_t>(h + 1));
@@ -311,16 +308,56 @@ std::vector<uint64_t> MinHashBlocker::BandKeys(const Record& record) {
     }
   }
 
-  std::vector<uint64_t> keys(static_cast<size_t>(kNumBands));
-  for (int b = 0; b < kNumBands; ++b) {
-    uint64_t key = kFnvOffset ^ static_cast<uint64_t>(b);
+  MinHashBlocker::BandKeyArray keys{};
+  for (int b = 0; b < MinHashBlocker::kNumBands; ++b) {
+    uint64_t key = core::kFnv1aOffset ^ static_cast<uint64_t>(b);
     for (int r = 0; r < kRowsPerBand; ++r) {
       const uint64_t v = sig[static_cast<size_t>(b * kRowsPerBand + r)];
-      key = Fnv1a64(reinterpret_cast<const char*>(&v), sizeof(v), key);
+      key = core::Fnv1a64(&v, sizeof(v), key);
     }
     keys[static_cast<size_t>(b)] = key;
   }
   return keys;
+}
+
+/// One memoized record: its band keys plus a second, independent hash of
+/// the shingle text, so a collision of the 64-bit memo key is caught
+/// rather than served.
+struct BandKeyEntry {
+  uint64_t check = 0;
+  MinHashBlocker::BandKeyArray keys{};
+};
+
+/// Process-wide, built on first use: a process that never blocks pays
+/// nothing for it.
+core::ConcurrentCache<BandKeyEntry>& BandKeyMemo() {
+  static core::ConcurrentCache<BandKeyEntry> memo(kBandKeyMemoCapacity);
+  return memo;
+}
+
+}  // namespace
+
+MinHashBlocker::BandKeyArray MinHashBlocker::BandKeys(
+    const Record& record) const {
+  const std::string text = ShingleText(record);
+  if (!memoize_band_keys_) {
+    band_keys_computed_.fetch_add(1, std::memory_order_relaxed);
+    return ComputeBandKeys(text);
+  }
+  const uint64_t key = core::Fnv1a64(text);
+  const uint64_t check = std::hash<std::string>{}(text);
+  core::ConcurrentCache<BandKeyEntry>& memo = BandKeyMemo();
+  const std::shared_ptr<const BandKeyEntry> hit = memo.Find(key);
+  if (hit != nullptr && hit->check == check) {
+    band_keys_reused_.fetch_add(1, std::memory_order_relaxed);
+    return hit->keys;
+  }
+  band_keys_computed_.fetch_add(1, std::memory_order_relaxed);
+  BandKeyEntry entry{check, ComputeBandKeys(text)};
+  // A hit under another text's check keeps its slot: inserting would
+  // only return the resident entry (first insert wins).
+  if (hit == nullptr) memo.Insert(key, entry);
+  return entry.keys;
 }
 
 MinHashBlocker::MinHashBlocker(const std::vector<Record>& left_table,
@@ -332,6 +369,8 @@ MinHashBlocker::MinHashBlocker(const std::vector<Record>& left_table,
                                const Config& config)
     : config_(config), left_table_(&left_table) {
   right_size_ = right_table.size();
+  memoize_band_keys_ =
+      left_table.size() + right_size_ <= kBandKeyMemoCapacity;
   bucket_cap_ = std::clamp<size_t>(
       static_cast<size_t>(kMaxBucketFraction *
                           static_cast<double>(right_size_)),
@@ -400,26 +439,25 @@ MinHashBlocker::MinHashBlocker(const std::vector<Record>& left_table,
     });
   }
   band_snap_.reserve(static_cast<size_t>(kNumBands));
-  for (const auto& index : band_index_) {
-    band_snap_.push_back(index->snapshot());
-    band_snap_.back().ForEach(
-        [&](uint64_t, core::HashIndex::Span payload) {
-          if (payload.size / sizeof(int32_t) > bucket_cap_) {
-            ++buckets_over_cap_;
-          }
-        });
-  }
+  for (const auto& index : band_index_) band_snap_.push_back(index->snapshot());
 }
 
 MinHashBlocker::IndexStats MinHashBlocker::index_stats() const {
   IndexStats stats;
-  stats.buckets_over_cap = buckets_over_cap_;
   stats.capped_probes = capped_probes_.load(std::memory_order_relaxed);
+  stats.band_keys_computed =
+      band_keys_computed_.load(std::memory_order_relaxed);
+  stats.band_keys_reused = band_keys_reused_.load(std::memory_order_relaxed);
   for (const auto& snap : band_snap_) {
     const uint64_t bytes = snap.ram_bytes() + snap.file_bytes();
     stats.band_bytes.push_back(bytes);
     stats.ram_bytes += snap.ram_bytes();
     stats.file_bytes += snap.file_bytes();
+    snap.ForEach([&](uint64_t, core::HashIndex::Span payload) {
+      if (payload.size / sizeof(int32_t) > bucket_cap_) {
+        ++stats.buckets_over_cap;
+      }
+    });
   }
   return stats;
 }

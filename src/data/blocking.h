@@ -1,6 +1,7 @@
 #ifndef PROMPTEM_DATA_BLOCKING_H_
 #define PROMPTEM_DATA_BLOCKING_H_
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <memory>
@@ -156,6 +157,12 @@ class OverlapBlocker : public LeftStreamBlocker {
 /// core::ParallelFor; only per-band keys are stored, one core::HashIndex
 /// of key -> ascending rights per band, so the index is
 /// O(kNumBands * right) with no per-record signature retained.
+///
+/// Band keys are a pure function of a record's lowercased shingle text,
+/// so they are memoized process-wide by that text (a bounded
+/// core::ConcurrentCache, built on first use): a rebuild over tables
+/// that changed in a few records recomputes only those records' keys.
+/// Tables too large for the memo to hold bypass it.
 class MinHashBlocker : public LeftStreamBlocker {
  public:
   /// Signature bands (2 rows of the 32-hash signature each); one index
@@ -172,8 +179,11 @@ class MinHashBlocker : public LeftStreamBlocker {
     std::string index_dir;
   };
 
+  using BandKeyArray = std::array<uint64_t, kNumBands>;
+
   /// Memory observability for --blocking-report: where the band tables
-  /// live (heap vs file) and how often the bucket cap fires.
+  /// live (heap vs file), how often the bucket cap fires, and how many
+  /// records' band keys the memo served.
   struct IndexStats {
     std::vector<uint64_t> band_bytes;  ///< sealed index bytes per band
     uint64_t ram_bytes = 0;            ///< sealed heap bytes, all bands
@@ -182,6 +192,11 @@ class MinHashBlocker : public LeftStreamBlocker {
     uint64_t buckets_over_cap = 0;
     /// Probes that hit such a bucket and were skipped so far.
     uint64_t capped_probes = 0;
+    /// Records whose band keys were computed / served by the memo so
+    /// far; their sum is the right rows built plus the left rows
+    /// generated.
+    uint64_t band_keys_computed = 0;
+    uint64_t band_keys_reused = 0;
   };
 
   MinHashBlocker(const std::vector<Record>& left_table,
@@ -195,8 +210,9 @@ class MinHashBlocker : public LeftStreamBlocker {
   size_t left_size() const override { return left_table_->size(); }
   size_t right_size() const override { return right_size_; }
 
-  /// Index memory/eviction counters (capped_probes accumulates as the
-  /// stream is drained).
+  /// Index memory/eviction counters (capped_probes and the band-key
+  /// counters accumulate as the stream is drained). Counting the
+  /// over-cap buckets walks every band table.
   IndexStats index_stats() const;
 
  protected:
@@ -204,19 +220,21 @@ class MinHashBlocker : public LeftStreamBlocker {
                          std::vector<PairExample>* out) const override;
 
  private:
-  /// Band keys of one record.
-  static std::vector<uint64_t> BandKeys(const Record& record);
+  /// Band keys of one record, through the memo unless bypassed.
+  BandKeyArray BandKeys(const Record& record) const;
 
   Config config_;
   const std::vector<Record>* left_table_;  // not owned; must outlive this
   size_t right_size_ = 0;
   size_t bucket_cap_ = 0;
+  bool memoize_band_keys_ = false;
   /// Per band: key -> ascending rights postings.
   /// Snapshots are pinned once at build, so probes are wait-free.
   std::vector<std::unique_ptr<core::HashIndex>> band_index_;
   std::vector<core::HashIndex::Snapshot> band_snap_;
-  uint64_t buckets_over_cap_ = 0;
   mutable std::atomic<uint64_t> capped_probes_{0};
+  mutable std::atomic<uint64_t> band_keys_computed_{0};
+  mutable std::atomic<uint64_t> band_keys_reused_{0};
 };
 
 /// Blocking quality: pair completeness = fraction of gold matches kept;

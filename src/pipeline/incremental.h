@@ -26,8 +26,11 @@ namespace promptem::em {
 ///  - Deletes are tombstones: the record stays in the table (emptied) so
 ///    indexes stay stable, and a filter around the blocker drops any
 ///    candidate touching a deleted record.
-///  - Each match rebuilds the blocker over the current tables (blocking
-///    is the cheap stage); scoring is where the cache pays.
+///  - Each match rebuilds the blocker over the current tables. With
+///    data::MinHashBlocker the rebuild recomputes band keys only for
+///    records whose content it has not seen (its process-wide memo),
+///    but it still re-packs every band table and re-probes every left:
+///    the rebuild stays O(table), the re-scoring O(delta).
 ///
 /// Determinism: the scorer is the deterministic eval engine, so a cached
 /// probability is bitwise the probability a fresh match would compute.

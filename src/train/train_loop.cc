@@ -218,7 +218,6 @@ LoopResult TrainLoop::Run(size_t dataset_size) {
             : RunEpochDataParallel(order, rng, &optimizer, epoch,
                                    &processed);
     result.samples_processed += processed;
-    result.epochs_run = epoch;
 
     EpochStats stats;
     stats.epoch = epoch;

@@ -75,7 +75,6 @@ struct LoopResult {
   double best_score = -1.0;  ///< == options.best_score_init if never beaten
   int best_epoch = -1;       ///< 1-based; -1 when no epoch improved
   int64_t samples_processed = 0;
-  int epochs_run = 0;
   /// Parameter snapshot at the best epoch (empty when no epoch improved).
   std::vector<std::vector<float>> best_snapshot;
 };

@@ -15,7 +15,10 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
+#include <map>
 #include <memory>
+#include <set>
 #include <string>
 #include <thread>
 #include <utility>
@@ -197,6 +200,30 @@ TEST(ConcurrentCacheTest, GetOrComputeComputesOnceThenHits) {
     EXPECT_EQ(*value, 55);
   }
   EXPECT_EQ(computes, 1);
+}
+
+TEST(ConcurrentCacheTest, SlotsGrowWithEntries) {
+  // A big, mostly empty cache provisions slots for what it holds, not
+  // for its capacity (which would be 2^21 slots here).
+  core::ConcurrentCache<int> big(size_t{1} << 20);
+  for (uint64_t k = 0; k < 1000; ++k) big.Insert(k, static_cast<int>(k));
+  EXPECT_EQ(big.stats().entries, 1000u);
+  EXPECT_LE(big.stats().slots, 4096u);
+  for (uint64_t k = 0; k < 1000; ++k) {
+    auto hit = big.Find(k);
+    ASSERT_NE(hit, nullptr) << "key " << k << " lost while growing";
+    EXPECT_EQ(*hit, static_cast<int>(k));
+  }
+
+  // Filled to capacity, a shard reaches its final size — twice the
+  // capacity, rounded up to a power of two — and stays there.
+  core::ConcurrentCache<int> full(1000, 1);
+  for (uint64_t k = 0; k < 1000; ++k) full.Insert(k, static_cast<int>(k));
+  EXPECT_EQ(full.stats().slots, 2048u);
+  EXPECT_EQ(full.stats().evictions, 0u);
+  for (uint64_t k = 1000; k < 3000; ++k) full.Insert(k, static_cast<int>(k));
+  EXPECT_EQ(full.stats().slots, 2048u);
+  EXPECT_EQ(full.stats().entries, 1000u);
 }
 
 TEST(ConcurrentCacheTest, ConcurrentInsertFindTortureIsCoherent) {
@@ -1003,6 +1030,130 @@ TEST(IncrementalMatcherTest, DeleteThenReviveRestoresOriginalResult) {
   revive.upserts.push_back({false, victim, saved});
   const em::MatchPipelineResult restored = matcher->ApplyDelta(revive);
   EXPECT_TRUE(SameResult(restored, original));
+}
+
+// ROADMAP item 2's gate: after each of 200 seeded random deltas —
+// upserts, appends, deletes and revivals — ApplyDelta's counts, metrics
+// and top matches equal a fresh matcher's FullMatch over the same tables.
+// Deletes hit the right table only: an emptied left and an emptied right
+// share every band key, so a fresh matcher (which sees no tombstones)
+// would pair them. Both matchers share the process-wide band-key memo,
+// so a digest of every step's result, recorded before the memo existed,
+// is what would catch the memo serving stale keys.
+TEST(IncrementalMatcherTest, RandomDeltasEqualFullMatchAtEveryStep) {
+  data::SyntheticTableOptions options;
+  options.rows = 300;
+  options.seed = 42;
+  const data::SyntheticTables tables = data::GenerateSyntheticTables(options);
+  data::GemDataset ds;
+  ds.left_table = tables.left;
+  ds.right_table = tables.right;
+  const em::IncrementalMatcher::ScorerFactory scorer =
+      [](const data::GemDataset&) { return HashStubScorer(); };
+  const em::IncrementalMatcher::BlockerFactory blocker =
+      [](const data::GemDataset& d) {
+        return std::unique_ptr<data::Blocker>(
+            std::make_unique<data::MinHashBlocker>(d.left_table,
+                                                   d.right_table));
+      };
+  em::IncrementalMatcher::Config config;
+  config.pipeline.top_k_matches = 25;
+  // Appended left records have no gold match.
+  config.pipeline.gold_label = [&tables](int l, int r) {
+    return static_cast<size_t>(l) < tables.left.size() ? tables.GoldLabel(l, r)
+                                                        : 0;
+  };
+  em::IncrementalMatcher matcher(std::move(ds), scorer, blocker, config);
+  matcher.FullMatch();
+
+  std::map<int, data::Record> deleted;  // right index -> content before
+  size_t applied[4] = {0, 0, 0, 0};     // per kind of change below
+  uint64_t digest = core::kFnv1aOffset;
+  core::Rng rng(2024);
+  for (int step = 0; step < 200; ++step) {
+    const data::GemDataset& current = matcher.dataset();
+    em::RecordDelta delta;
+    std::set<std::pair<bool, int>> touched;
+    size_t appended[2] = {0, 0};
+    const size_t ops = 1 + rng.NextU64(3);
+    for (size_t op = 0; op < ops; ++op) {
+      const bool left = rng.NextU64(2) == 0;
+      const auto& table = left ? current.left_table : current.right_table;
+      // Another record's content, sometimes with a note no record had.
+      data::Record record = table[rng.NextU64(table.size())];
+      if (rng.NextU64(2) == 0) {
+        record.attrs.push_back(
+            {"note", data::Value::Str("step " + std::to_string(step))});
+      }
+      const int index = static_cast<int>(rng.NextU64(table.size()));
+      const size_t kind = rng.NextU64(4);
+      switch (kind) {
+        case 0:  // upsert (revives the record if it was deleted)
+          if (!touched.insert({left, index}).second) continue;
+          if (!left) deleted.erase(index);
+          delta.upserts.push_back({left, index, std::move(record)});
+          break;
+        case 1:  // append
+          delta.upserts.push_back(
+              {left, static_cast<int>(table.size() + appended[left]++),
+               std::move(record)});
+          break;
+        case 2:  // delete
+          if (deleted.count(index) != 0 ||
+              !touched.insert({false, index}).second) {
+            continue;
+          }
+          deleted.emplace(index,
+                          current.right_table[static_cast<size_t>(index)]);
+          delta.deletes.push_back({false, index});
+          break;
+        default: {  // revive with the content it had
+          if (deleted.empty()) continue;
+          auto it = deleted.begin();
+          std::advance(it,
+                       static_cast<ptrdiff_t>(rng.NextU64(deleted.size())));
+          if (!touched.insert({false, it->first}).second) continue;
+          delta.upserts.push_back({false, it->first, it->second});
+          deleted.erase(it);
+        }
+      }
+      ++applied[kind];
+    }
+
+    const em::MatchPipelineResult incremental = matcher.ApplyDelta(delta);
+    const em::DeltaStats& stats = matcher.last_stats();
+    ASSERT_EQ(stats.changed_records,
+              delta.upserts.size() + delta.deletes.size());
+    ASSERT_EQ(stats.candidates, incremental.candidates) << "step " << step;
+    ASSERT_EQ(stats.reused + stats.rescored, stats.candidates);
+
+    em::IncrementalMatcher fresh(matcher.dataset(), scorer, blocker, config);
+    const em::MatchPipelineResult full = fresh.FullMatch();
+    ASSERT_EQ(incremental.candidates, full.candidates) << "step " << step;
+    ASSERT_EQ(incremental.matches, full.matches) << "step " << step;
+    ASSERT_EQ(incremental.labeled, full.labeled) << "step " << step;
+    ASSERT_EQ(incremental.unlabeled, full.unlabeled) << "step " << step;
+    ASSERT_EQ(incremental.metrics.tp, full.metrics.tp) << "step " << step;
+    ASSERT_EQ(incremental.metrics.fp, full.metrics.fp) << "step " << step;
+    ASSERT_EQ(incremental.metrics.tn, full.metrics.tn) << "step " << step;
+    ASSERT_EQ(incremental.metrics.fn, full.metrics.fn) << "step " << step;
+    ASSERT_TRUE(SameResult(incremental, full)) << "step " << step;
+
+    const int64_t counts[] = {
+        static_cast<int64_t>(incremental.candidates),
+        static_cast<int64_t>(incremental.matches),
+        static_cast<int64_t>(incremental.labeled),
+        incremental.metrics.tp, incremental.metrics.fp,
+        incremental.metrics.tn, incremental.metrics.fn};
+    digest = core::Fnv1a64(counts, sizeof(counts), digest);
+    for (const em::ScoredMatch& m : incremental.top_matches) {
+      digest = core::Fnv1a64(&m.left_index, sizeof(m.left_index), digest);
+      digest = core::Fnv1a64(&m.right_index, sizeof(m.right_index), digest);
+      digest = core::Fnv1a64(&m.pos_prob, sizeof(m.pos_prob), digest);
+    }
+  }
+  for (const size_t count : applied) EXPECT_GT(count, 10u);
+  EXPECT_EQ(digest, 559267426539809268ull);
 }
 
 }  // namespace

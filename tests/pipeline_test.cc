@@ -305,6 +305,78 @@ TEST(BlockingGoldenTest, DefaultStreamsAreStable) {
   EXPECT_EQ(StreamDigest(&overlap), 5084022936426442319ull);
 }
 
+/// StreamDigest of an already drained stream.
+uint64_t PairsDigest(const std::vector<data::PairExample>& stream) {
+  uint64_t hash = core::kFnv1aOffset;
+  for (const auto& p : stream) {
+    const int32_t ids[2] = {p.left_index, p.right_index};
+    hash = core::Fnv1a64(ids, sizeof(ids), hash);
+  }
+  return hash;
+}
+
+// The band-key memo must never serve a changed record its old keys: a
+// rebuild after a few records change gives the stream pinned below
+// (recorded before band keys were memoized) at every pool size, and
+// recomputes the keys of the changed contents only.
+TEST(MinHashBlockerTest, RebuildAfterPerturbationMatchesPinnedStream) {
+  data::SyntheticTableOptions options;
+  options.rows = 400;
+  options.seed = 11;
+  data::SyntheticTables tables = data::GenerateSyntheticTables(options);
+  {
+    data::MinHashBlocker warm(tables.left, tables.right);
+    warm.Drain();
+    // An empty record's keys are one constant that an earlier test may
+    // already have memoized; memoizing it here keeps the count below
+    // independent of test order.
+    const std::vector<data::Record> empty(1, data::Record::Relational({}));
+    data::MinHashBlocker warm_empty(empty, empty);
+  }
+  constexpr size_t kPerturbed = 10;
+  for (size_t i = 0; i < kPerturbed; ++i) {
+    tables.right[13 + 37 * i].attrs.push_back(
+        {"note", data::Value::Str("rev " + std::to_string(i))});
+  }
+  for (const size_t i : {size_t{7}, size_t{201}}) {
+    tables.right[i] = data::Record::Relational({});
+  }
+
+  for (const int threads : {1, 3, 8}) {
+    ScopedThreads scoped(threads);
+    data::MinHashBlocker rebuilt(tables.left, tables.right);
+    const std::vector<data::PairExample> stream = rebuilt.Drain();
+    EXPECT_EQ(stream.size(), 1676u) << threads;
+    EXPECT_EQ(PairsDigest(stream), 10060828686384959726ull) << threads;
+    const data::MinHashBlocker::IndexStats stats = rebuilt.index_stats();
+    EXPECT_EQ(stats.band_keys_computed + stats.band_keys_reused,
+              tables.left.size() + tables.right.size());
+    // The first rebuild computes the ten new contents (the two emptied
+    // records share the memoized empty content); later ones reuse all.
+    EXPECT_EQ(stats.band_keys_computed, threads == 1 ? kPerturbed : 0u)
+        << threads;
+  }
+}
+
+// Tables larger than the band-key memo's capacity (2^15 records) bypass
+// it: every build computes every key, and the stream is the one pinned
+// below (recorded before band keys were memoized).
+TEST(MinHashBlockerTest, TablesLargerThanTheMemoBypassIt) {
+  data::SyntheticTableOptions options;
+  options.rows = 15700;  // 15,700 left + 17,270 right records
+  options.seed = 5;
+  const data::SyntheticTables tables = data::GenerateSyntheticTables(options);
+  ASSERT_GT(tables.left.size() + tables.right.size(), size_t{1} << 15);
+  data::MinHashBlocker first(tables.left, tables.right);
+  const std::vector<data::PairExample> stream = first.Drain();
+  EXPECT_EQ(stream.size(), 151566u);
+  EXPECT_EQ(PairsDigest(stream), 17814948968205506834ull);
+
+  const data::MinHashBlocker rebuilt(tables.left, tables.right);
+  EXPECT_EQ(rebuilt.index_stats().band_keys_computed, tables.right.size());
+  EXPECT_EQ(rebuilt.index_stats().band_keys_reused, 0u);
+}
+
 TEST(BlockingQualityTest, StreamMatchesOneShotEvaluation) {
   const data::GemDataset ds =
       data::GenerateBenchmark(data::BenchmarkKind::kSemiHomo, 7);

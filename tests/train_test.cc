@@ -69,15 +69,13 @@ class RecordingObserver final : public train::TrainObserver {
   void OnEpochEnd(const train::EpochStats& stats) override {
     events.push_back("epoch_end:" + std::to_string(stats.epoch));
   }
-  void OnLoopEnd(const train::LoopResult& result) override {
+  void OnLoopEnd(const train::LoopResult&) override {
     events.push_back("loop_end");
-    epochs_run = result.epochs_run;
   }
 
   const train::RunMeta& meta() const { return meta_; }
 
   std::vector<std::string> events;
-  int epochs_run = 0;
 
  private:
   train::RunMeta meta_;
@@ -110,12 +108,10 @@ TEST(TrainLoopTest, ObserverEventOrderingAndOneBasedEpochs) {
       "loop_end",
   };
   EXPECT_EQ(observer.events, expected);
-  EXPECT_EQ(observer.epochs_run, 2);
   EXPECT_EQ(observer.meta().run_name, "tiny");
   EXPECT_EQ(observer.meta().dataset, "unit");
   EXPECT_EQ(observer.meta().seed, 11u);
   EXPECT_FALSE(observer.meta().config_hash.empty());
-  EXPECT_EQ(result.epochs_run, 2);
   EXPECT_EQ(result.best_epoch, 1);  // 1-based; F1 ties never re-improve
   EXPECT_EQ(result.samples_processed, 16);
   EXPECT_EQ(result.epoch_losses.size(), 2u);

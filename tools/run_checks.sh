@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
-# Runs the full check matrix: the plain Release test suite, the
-# ASan-labeled suite (which includes the fault-injection sweeps), and the
-# TSan-labeled suite, each in its own build directory.
+# Runs the full check matrix: the plain Release test suite with the
+# micro-bench ledger check, the ASan-labeled suite (which includes the
+# fault-injection sweeps), and the TSan-labeled suite, each in its own
+# build directory.
 #
 # Usage: tools/run_checks.sh [extra ctest flags...]
 #
@@ -33,8 +34,11 @@ run_suite() {
 
 extra_flags=("$@")
 
-# 1. The whole suite under a plain Release build.
+# 1. The whole suite under a plain Release build, then the check that the
+#    committed BENCH_micro.json records every micro bench (as CI's tier1
+#    job does).
 run_suite build-checks "" -DCMAKE_BUILD_TYPE=Release
+tools/check_bench_ledger.sh build-checks
 
 # 2. The memory-safety set (every "asan" label in tests/CMakeLists.txt:
 #    pool determinism, the training runtime, execution engine, fused
