@@ -430,7 +430,11 @@ BENCHMARK(BM_AttentionUnfused)->Arg(32)->Arg(128);
 /// — real-model chunk scoring is pinned bitwise by tests/pipeline_test.cc;
 /// what this measures is the blocker + pipeline machinery, and what the
 /// counters record is the sub-quadratic candidate count against the
-/// all-pairs cross product, plus the gold pair completeness.
+/// all-pairs cross product, plus the gold pair completeness. Every
+/// iteration rebuilds the blocker over the same tables, so at 10k rows
+/// all iterations after the first find every record's band keys in the
+/// process-wide memo (DESIGN.md §13): /10000 prices a warm rebuild.
+/// Larger tables overflow the memo and price a cold build.
 void BM_BlockScoreMatch(benchmark::State& state) {
   const auto rows = static_cast<size_t>(state.range(0));
   data::SyntheticTableOptions options;
@@ -487,7 +491,9 @@ BENCHMARK(BM_BlockScoreMatch)
 /// bitwise identical to the in-RAM backend by tests/hash_index_test.cc,
 /// so the delta against BM_BlockScoreMatch is the pure cost of taking
 /// the index through the storage seam — build-time sealing to files plus
-/// page-cache reads instead of heap reads on every probe.
+/// page-cache reads instead of heap reads on every probe. Its band keys
+/// go through the same memo, so /10000 is a warm rebuild here too; the
+/// two families compare only when recorded by the same binary.
 void BM_BlockScoreMatch_Mmap(benchmark::State& state) {
   const auto rows = static_cast<size_t>(state.range(0));
   data::SyntheticTableOptions options;

@@ -265,9 +265,8 @@ constexpr double kMaxBucketFraction = 0.01;
 constexpr size_t kMaxBucketCap = 2048;
 
 /// Band-key memo bound: holds both tables of a 6k + 6k row match with
-/// room for the records later deltas change. Larger tables bypass the
-/// memo: one build's records would evict each other's keys before a
-/// rebuild could reuse them, so it would only add a lookup per record.
+/// room for the records later deltas change. Larger tables evict their
+/// own keys, but the memo's heap stays bounded by this count.
 constexpr size_t kBandKeyMemoCapacity = size_t{1} << 15;
 
 /// The text a record is shingled over, lowercased: attribute values only
@@ -340,10 +339,6 @@ core::ConcurrentCache<BandKeyEntry>& BandKeyMemo() {
 MinHashBlocker::BandKeyArray MinHashBlocker::BandKeys(
     const Record& record) const {
   const std::string text = ShingleText(record);
-  if (!memoize_band_keys_) {
-    band_keys_computed_.fetch_add(1, std::memory_order_relaxed);
-    return ComputeBandKeys(text);
-  }
   const uint64_t key = core::Fnv1a64(text);
   const uint64_t check = std::hash<std::string>{}(text);
   core::ConcurrentCache<BandKeyEntry>& memo = BandKeyMemo();
@@ -369,8 +364,6 @@ MinHashBlocker::MinHashBlocker(const std::vector<Record>& left_table,
                                const Config& config)
     : config_(config), left_table_(&left_table) {
   right_size_ = right_table.size();
-  memoize_band_keys_ =
-      left_table.size() + right_size_ <= kBandKeyMemoCapacity;
   bucket_cap_ = std::clamp<size_t>(
       static_cast<size_t>(kMaxBucketFraction *
                           static_cast<double>(right_size_)),

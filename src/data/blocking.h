@@ -162,7 +162,8 @@ class OverlapBlocker : public LeftStreamBlocker {
 /// so they are memoized process-wide by that text (a bounded
 /// core::ConcurrentCache, built on first use): a rebuild over tables
 /// that changed in a few records recomputes only those records' keys.
-/// Tables too large for the memo to hold bypass it.
+/// Tables larger than the memo evict their own keys; its heap stays
+/// bounded either way.
 class MinHashBlocker : public LeftStreamBlocker {
  public:
   /// Signature bands (2 rows of the 32-hash signature each); one index
@@ -220,14 +221,13 @@ class MinHashBlocker : public LeftStreamBlocker {
                          std::vector<PairExample>* out) const override;
 
  private:
-  /// Band keys of one record, through the memo unless bypassed.
+  /// Band keys of one record, through the process-wide memo.
   BandKeyArray BandKeys(const Record& record) const;
 
   Config config_;
   const std::vector<Record>* left_table_;  // not owned; must outlive this
   size_t right_size_ = 0;
   size_t bucket_cap_ = 0;
-  bool memoize_band_keys_ = false;
   /// Per band: key -> ascending rights postings.
   /// Snapshots are pinned once at build, so probes are wait-free.
   std::vector<std::unique_ptr<core::HashIndex>> band_index_;

@@ -358,25 +358,6 @@ TEST(MinHashBlockerTest, RebuildAfterPerturbationMatchesPinnedStream) {
   }
 }
 
-// Tables larger than the band-key memo's capacity (2^15 records) bypass
-// it: every build computes every key, and the stream is the one pinned
-// below (recorded before band keys were memoized).
-TEST(MinHashBlockerTest, TablesLargerThanTheMemoBypassIt) {
-  data::SyntheticTableOptions options;
-  options.rows = 15700;  // 15,700 left + 17,270 right records
-  options.seed = 5;
-  const data::SyntheticTables tables = data::GenerateSyntheticTables(options);
-  ASSERT_GT(tables.left.size() + tables.right.size(), size_t{1} << 15);
-  data::MinHashBlocker first(tables.left, tables.right);
-  const std::vector<data::PairExample> stream = first.Drain();
-  EXPECT_EQ(stream.size(), 151566u);
-  EXPECT_EQ(PairsDigest(stream), 17814948968205506834ull);
-
-  const data::MinHashBlocker rebuilt(tables.left, tables.right);
-  EXPECT_EQ(rebuilt.index_stats().band_keys_computed, tables.right.size());
-  EXPECT_EQ(rebuilt.index_stats().band_keys_reused, 0u);
-}
-
 TEST(BlockingQualityTest, StreamMatchesOneShotEvaluation) {
   const data::GemDataset ds =
       data::GenerateBenchmark(data::BenchmarkKind::kSemiHomo, 7);
