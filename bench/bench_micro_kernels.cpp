@@ -86,34 +86,6 @@ void BM_GemmScalar(benchmark::State& state) {
 }
 BENCHMARK(BM_GemmScalar)->Arg(128)->Arg(256);
 
-/// Same GEMM across pool sizes: Args({n, threads}). Sizes above the
-/// parallel threshold shard rows across the pool; the result is bitwise
-/// identical at every pool size.
-void BM_GemmPool(benchmark::State& state) {
-  const int n = static_cast<int>(state.range(0));
-  const int threads = static_cast<int>(state.range(1));
-  const int saved = core::GetNumThreads();
-  core::SetNumThreads(threads);
-  std::vector<float> a(static_cast<size_t>(n) * n, 1.0f);
-  std::vector<float> b(static_cast<size_t>(n) * n, 2.0f);
-  std::vector<float> c(static_cast<size_t>(n) * n, 0.0f);
-  for (auto _ : state) {
-    tensor::kernels::Gemm(false, false, n, n, n, 1.0f, a.data(), b.data(),
-                          0.0f, c.data());
-    benchmark::DoNotOptimize(c.data());
-  }
-  state.SetItemsProcessed(state.iterations() * 2LL * n * n * n);
-  state.counters["threads"] = threads;
-  core::SetNumThreads(saved);
-}
-BENCHMARK(BM_GemmPool)
-    ->Args({128, 1})
-    ->Args({128, 2})
-    ->Args({128, 4})
-    ->Args({256, 1})
-    ->Args({256, 2})
-    ->Args({256, 4});
-
 void BM_GemmTransB(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   std::vector<float> a(static_cast<size_t>(n) * n, 1.0f);

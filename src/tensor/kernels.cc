@@ -7,7 +7,6 @@
 #include <algorithm>
 #include <vector>
 
-#include "core/thread_pool.h"
 #include "tensor/kernels_internal.h"
 
 namespace promptem::tensor::kernels {
@@ -16,43 +15,35 @@ namespace {
 
 // Blocking constants. kKc is the k-panel depth (A/B panel rows stay in
 // cache while a C block accumulates); kMr x kNr is the register microtile.
-// The chunk decomposition of every parallel loop below is a pure function
-// of the problem shape and these constants — never of the pool size — so
-// results are bitwise identical for any PROMPTEM_NUM_THREADS.
+// Every summation grouping below is a pure function of the problem shape
+// and these constants. Kernels run on the calling thread: the pool
+// parallelizes across samples, one level up.
 constexpr int kKc = 256;
 constexpr int kMr = 4;
 constexpr int kNr = 16;
 
-/// Row-chunk grain for the parallel outer M loop.
-constexpr int64_t kGemmRowGrain = 16;
-/// Below this many multiply-adds a GEMM runs single-chunk: dispatch
-/// overhead would dominate (typical per-sample transformer GEMMs).
-constexpr int64_t kGemmParallelThreshold = 1 << 19;
-/// Row grain / minimum element count for the parallel row-wise kernels.
-constexpr int64_t kRowGrain = 32;
-constexpr int64_t kRowParallelThreshold = 1 << 14;
-
-/// Scales or clears rows [i0, i1) of C by beta.
-void ScaleRows(float* c, int i0, int i1, int n, float beta) {
-  float* begin = c + static_cast<int64_t>(i0) * n;
-  const int64_t count = static_cast<int64_t>(i1 - i0) * n;
-  if (beta == 0.0f) {
-    std::fill_n(begin, count, 0.0f);
-  } else if (beta != 1.0f) {
-    for (int64_t i = 0; i < count; ++i) begin[i] *= beta;
+/// C = beta * C for an m x n block with row stride ldc; beta == 0 clears
+/// C, so stale NaN/Inf never reach the product.
+void ScaleBlock(float* c, int m, int n, int ldc, float beta) {
+  for (int i = 0; i < m; ++i) {
+    float* crow = c + static_cast<int64_t>(i) * ldc;
+    if (beta == 0.0f) {
+      std::fill_n(crow, n, 0.0f);
+    } else if (beta != 1.0f) {
+      for (int j = 0; j < n; ++j) crow[j] *= beta;
+    }
   }
 }
 
-/// C[i0:i1, :] += alpha * A[i0:i1, :] * B for row-major A (m x k) and
-/// B (k x n). Cache-tiled over k (kKc panels) with a kMr x kNr
-/// register-blocked microkernel; per (i, j) the k sum is grouped by panel,
-/// independent of the row chunking.
-void GemmNNChunk(int i0, int i1, int n, int k, float alpha, const float* a,
-                 const float* b, float* c) {
+/// C += alpha * A * B for row-major A (m x k) and B (k x n). Cache-tiled
+/// over k (kKc panels) with a kMr x kNr register-blocked microkernel; per
+/// (i, j) the k sum is grouped by panel.
+void GemmNN(int m, int n, int k, float alpha, const float* a,
+            const float* b, float* c) {
   for (int pc = 0; pc < k; pc += kKc) {
     const int pe = std::min(k, pc + kKc);
-    int i = i0;
-    for (; i + kMr <= i1; i += kMr) {
+    int i = 0;
+    for (; i + kMr <= m; i += kMr) {
       const float* a0 = a + static_cast<int64_t>(i) * k;
       const float* a1 = a0 + k;
       const float* a2 = a1 + k;
@@ -105,7 +96,7 @@ void GemmNNChunk(int i0, int i1, int n, int k, float alpha, const float* a,
       }
     }
     // Ragged row tail: one row at a time, same panel structure.
-    for (; i < i1; ++i) {
+    for (; i < m; ++i) {
       const float* arow = a + static_cast<int64_t>(i) * k;
       float* crow = c + static_cast<int64_t>(i) * n;
       int j = 0;
@@ -129,13 +120,13 @@ void GemmNNChunk(int i0, int i1, int n, int k, float alpha, const float* a,
   }
 }
 
-/// C[i0:i1, :] += alpha * A[i0:i1, :] * B^T for row-major A (m x k) and
-/// B stored (n x k): rows of dot products, 2 x 4 register blocking so the
-/// k loop carries eight independent accumulator chains.
-void GemmNTChunk(int i0, int i1, int n, int k, float alpha, const float* a,
-                 const float* b, float* c) {
-  int i = i0;
-  for (; i + 2 <= i1; i += 2) {
+/// C += alpha * A * B^T for row-major A (m x k) and B stored (n x k):
+/// rows of dot products, 2 x 4 register blocking so the k loop carries
+/// eight independent accumulator chains.
+void GemmNT(int m, int n, int k, float alpha, const float* a,
+            const float* b, float* c) {
+  int i = 0;
+  for (; i + 2 <= m; i += 2) {
     const float* a0 = a + static_cast<int64_t>(i) * k;
     const float* a1 = a0 + k;
     float* c0 = c + static_cast<int64_t>(i) * n;
@@ -180,7 +171,7 @@ void GemmNTChunk(int i0, int i1, int n, int k, float alpha, const float* a,
       c1[j] += alpha * s1;
     }
   }
-  for (; i < i1; ++i) {
+  for (; i < m; ++i) {
     const float* arow = a + static_cast<int64_t>(i) * k;
     float* crow = c + static_cast<int64_t>(i) * n;
     for (int j = 0; j < n; ++j) {
@@ -192,15 +183,15 @@ void GemmNTChunk(int i0, int i1, int n, int k, float alpha, const float* a,
   }
 }
 
-/// C[i0:i1, :] += alpha * A^T[i0:i1, :] * B for A stored (k x m) and
-/// B (k x n). p-outer form: for each p, A's row p is unit-stride over i
-/// and B's row p is broadcast across the chunk's C rows.
-void GemmTNChunk(int i0, int i1, int n, int k, int m, float alpha,
-                 const float* a, const float* b, float* c) {
+/// C += alpha * A^T * B for A stored (k x m) and B (k x n). p-outer
+/// form: for each p, A's row p is unit-stride over i and B's row p is
+/// broadcast across C's rows.
+void GemmTN(int m, int n, int k, float alpha, const float* a,
+            const float* b, float* c) {
   for (int p = 0; p < k; ++p) {
     const float* ap = a + static_cast<int64_t>(p) * m;
     const float* bp = b + static_cast<int64_t>(p) * n;
-    for (int i = i0; i < i1; ++i) {
+    for (int i = 0; i < m; ++i) {
       const float av = alpha * ap[i];
       float* crow = c + static_cast<int64_t>(i) * n;
       for (int j = 0; j < n; ++j) crow[j] += av * bp[j];
@@ -208,11 +199,11 @@ void GemmTNChunk(int i0, int i1, int n, int k, int m, float alpha,
   }
 }
 
-/// C[i0:i1, :] += alpha * A^T * B^T: generic indexed loop (backward-only
+/// C += alpha * A^T * B^T: generic indexed loop (backward-only
 /// combination on small matrices).
-void GemmTTChunk(int i0, int i1, int n, int k, int m, float alpha,
-                 const float* a, const float* b, float* c) {
-  for (int i = i0; i < i1; ++i) {
+void GemmTT(int m, int n, int k, float alpha, const float* a,
+            const float* b, float* c) {
+  for (int i = 0; i < m; ++i) {
     float* crow = c + static_cast<int64_t>(i) * n;
     for (int p = 0; p < k; ++p) {
       const float av = alpha * a[static_cast<int64_t>(p) * m + i];
@@ -419,8 +410,8 @@ namespace detail {
 
 const KernelTable& ScalarTable() {
   static const KernelTable table = {
-      KernelVariant::kScalar, GemmNNChunk,      GemmNTChunk,
-      GemmTNChunk,            GemmTTChunk,      GemmStridedImpl,
+      KernelVariant::kScalar, GemmNN,           GemmNT,
+      GemmTN,                 GemmTT,           GemmStridedImpl,
       ExpRowSumScalar,        SumExpRowScalar,  RowMaxScalar,
       LayerNormRowScalar,     GeluRowScalar,    GeluGradRowScalar,
   };
@@ -504,38 +495,23 @@ float SumExpRow(const float* x, int n, float m) {
 
 void Gemm(bool trans_a, bool trans_b, int m, int n, int k, float alpha,
           const float* a, const float* b, float beta, float* c) {
+  ScaleBlock(c, m, n, n, beta);
   const detail::KernelTable& kt = detail::Active();
-  const int64_t work = static_cast<int64_t>(m) * n * k;
-  const int64_t grain =
-      work >= kGemmParallelThreshold ? kGemmRowGrain : static_cast<int64_t>(m);
-  core::ParallelFor(0, m, std::max<int64_t>(grain, 1),
-                    [&](int64_t begin, int64_t end) {
-    const int i0 = static_cast<int>(begin);
-    const int i1 = static_cast<int>(end);
-    ScaleRows(c, i0, i1, n, beta);
-    if (!trans_a && !trans_b) {
-      kt.gemm_nn_chunk(i0, i1, n, k, alpha, a, b, c);
-    } else if (!trans_a && trans_b) {
-      kt.gemm_nt_chunk(i0, i1, n, k, alpha, a, b, c);
-    } else if (trans_a && !trans_b) {
-      kt.gemm_tn_chunk(i0, i1, n, k, m, alpha, a, b, c);
-    } else {
-      kt.gemm_tt_chunk(i0, i1, n, k, m, alpha, a, b, c);
-    }
-  });
+  if (!trans_a && !trans_b) {
+    kt.gemm_nn(m, n, k, alpha, a, b, c);
+  } else if (!trans_a && trans_b) {
+    kt.gemm_nt(m, n, k, alpha, a, b, c);
+  } else if (trans_a && !trans_b) {
+    kt.gemm_tn(m, n, k, alpha, a, b, c);
+  } else {
+    kt.gemm_tt(m, n, k, alpha, a, b, c);
+  }
 }
 
 void GemmStrided(bool trans_a, bool trans_b, int m, int n, int k,
                  float alpha, const float* a, int lda, const float* b,
                  int ldb, float beta, float* c, int ldc) {
-  for (int i = 0; i < m; ++i) {
-    float* crow = c + static_cast<int64_t>(i) * ldc;
-    if (beta == 0.0f) {
-      std::fill_n(crow, n, 0.0f);
-    } else if (beta != 1.0f) {
-      for (int j = 0; j < n; ++j) crow[j] *= beta;
-    }
-  }
+  ScaleBlock(c, m, n, ldc, beta);
   detail::Active().gemm_strided(trans_a, trans_b, m, n, k, alpha, a, lda, b,
                                 ldb, c, ldc);
 }
@@ -560,110 +536,76 @@ void AddBlock(const float* src, int ld_src, float* dst, int ld_dst,
 
 void SoftmaxRows(const float* x, int rows, int cols, float* out) {
   const detail::KernelTable& kt = detail::Active();
-  const int64_t grain =
-      static_cast<int64_t>(rows) * cols >= kRowParallelThreshold
-          ? kRowGrain
-          : static_cast<int64_t>(rows);
-  core::ParallelFor(0, rows, std::max<int64_t>(grain, 1),
-                    [&](int64_t begin, int64_t end) {
-    for (int64_t i = begin; i < end; ++i) {
-      const float* xi = x + i * cols;
-      float* oi = out + i * cols;
-      const float mx = kt.row_max(xi, cols);
-      const float sum = kt.exp_row_sum(xi, oi, cols, mx);
-      const float inv = 1.0f / sum;
-      for (int j = 0; j < cols; ++j) oi[j] *= inv;
-    }
-  });
+  for (int64_t i = 0; i < rows; ++i) {
+    const float* xi = x + i * cols;
+    float* oi = out + i * cols;
+    const float mx = kt.row_max(xi, cols);
+    const float sum = kt.exp_row_sum(xi, oi, cols, mx);
+    const float inv = 1.0f / sum;
+    for (int j = 0; j < cols; ++j) oi[j] *= inv;
+  }
 }
 
 void LogSoftmaxRows(const float* x, int rows, int cols, float* out) {
   const detail::KernelTable& kt = detail::Active();
-  const int64_t grain =
-      static_cast<int64_t>(rows) * cols >= kRowParallelThreshold
-          ? kRowGrain
-          : static_cast<int64_t>(rows);
-  core::ParallelFor(0, rows, std::max<int64_t>(grain, 1),
-                    [&](int64_t begin, int64_t end) {
-    for (int64_t i = begin; i < end; ++i) {
-      const float* xi = x + i * cols;
-      float* oi = out + i * cols;
-      const float mx = kt.row_max(xi, cols);
-      const float sum = kt.sum_exp_row(xi, cols, mx);
-      const float lse = mx + std::log(sum);
-      for (int j = 0; j < cols; ++j) oi[j] = xi[j] - lse;
-    }
-  });
+  for (int64_t i = 0; i < rows; ++i) {
+    const float* xi = x + i * cols;
+    float* oi = out + i * cols;
+    const float mx = kt.row_max(xi, cols);
+    const float sum = kt.sum_exp_row(xi, cols, mx);
+    const float lse = mx + std::log(sum);
+    for (int j = 0; j < cols; ++j) oi[j] = xi[j] - lse;
+  }
 }
 
 void LayerNormForward(const float* x, int rows, int cols, const float* gamma,
                       const float* beta, float eps, float* out, float* mean,
                       float* rstd) {
   const detail::KernelTable& kt = detail::Active();
-  const int64_t grain =
-      static_cast<int64_t>(rows) * cols >= kRowParallelThreshold
-          ? kRowGrain
-          : static_cast<int64_t>(rows);
-  core::ParallelFor(0, rows, std::max<int64_t>(grain, 1),
-                    [&](int64_t begin, int64_t end) {
-    for (int64_t i = begin; i < end; ++i) {
-      kt.layernorm_row(x + i * cols, cols, gamma, beta, eps, out + i * cols,
-                       mean + i, rstd + i);
-    }
-  });
+  for (int64_t i = 0; i < rows; ++i) {
+    kt.layernorm_row(x + i * cols, cols, gamma, beta, eps, out + i * cols,
+                     mean + i, rstd + i);
+  }
 }
 
 void LayerNormBackward(const float* x, const float* gamma, const float* mean,
                        const float* rstd, const float* dout, int rows,
                        int cols, float* dx, float* dgamma, float* dbeta) {
-  // dgamma/dbeta reduce across rows: each chunk accumulates into its own
-  // slice of `partial`, merged below in chunk order, so the sum grouping
-  // depends only on the fixed grain — bitwise identical for any pool size.
-  const int64_t grain =
-      static_cast<int64_t>(rows) * cols >= kRowParallelThreshold
-          ? kRowGrain
-          : static_cast<int64_t>(rows);
-  const int64_t g = std::max<int64_t>(grain, 1);
-  const int64_t chunks = (static_cast<int64_t>(rows) + g - 1) / g;
-  std::vector<float> partial(static_cast<size_t>(chunks) * 2 * cols, 0.0f);
-  core::ParallelFor(0, rows, g, [&](int64_t begin, int64_t end) {
-    const int64_t chunk = begin / g;
-    float* dgamma_c = partial.data() + chunk * 2 * cols;
-    float* dbeta_c = dgamma_c + cols;
-    for (int64_t i = begin; i < end; ++i) {
-      const float* xi = x + i * cols;
-      const float* doi = dout + i * cols;
-      float* dxi = dx + i * cols;
-      const float mu = mean[i];
-      const float rs = rstd[i];
-      // dL/dxhat_j = dout_j * gamma_j; with xhat = (x - mu) * rs:
-      // dx = rs * (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat)).
-      float sum_dxhat = 0.0f;
-      float sum_dxhat_xhat = 0.0f;
-      for (int j = 0; j < cols; ++j) {
-        const float xhat = (xi[j] - mu) * rs;
-        const float dxhat = doi[j] * gamma[j];
-        sum_dxhat += dxhat;
-        sum_dxhat_xhat += dxhat * xhat;
-        dgamma_c[j] += doi[j] * xhat;
-        dbeta_c[j] += doi[j];
-      }
-      const float inv_cols = 1.0f / static_cast<float>(cols);
-      for (int j = 0; j < cols; ++j) {
-        const float xhat = (xi[j] - mu) * rs;
-        const float dxhat = doi[j] * gamma[j];
-        dxi[j] += rs * (dxhat - inv_cols * sum_dxhat -
-                        xhat * inv_cols * sum_dxhat_xhat);
-      }
-    }
-  });
-  for (int64_t chunk = 0; chunk < chunks; ++chunk) {
-    const float* dgamma_c = partial.data() + chunk * 2 * cols;
-    const float* dbeta_c = dgamma_c + cols;
+  // dgamma/dbeta sum over rows into a zeroed partial that is added to the
+  // (possibly non-zero) accumulators once, so the grouping is the same
+  // for every call: (sum of rows) + previous value.
+  std::vector<float> partial(static_cast<size_t>(2) * cols, 0.0f);
+  float* dgamma_p = partial.data();
+  float* dbeta_p = dgamma_p + cols;
+  const float inv_cols = 1.0f / static_cast<float>(cols);
+  for (int64_t i = 0; i < rows; ++i) {
+    const float* xi = x + i * cols;
+    const float* doi = dout + i * cols;
+    float* dxi = dx + i * cols;
+    const float mu = mean[i];
+    const float rs = rstd[i];
+    // dL/dxhat_j = dout_j * gamma_j; with xhat = (x - mu) * rs:
+    // dx = rs * (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat)).
+    float sum_dxhat = 0.0f;
+    float sum_dxhat_xhat = 0.0f;
     for (int j = 0; j < cols; ++j) {
-      dgamma[j] += dgamma_c[j];
-      dbeta[j] += dbeta_c[j];
+      const float xhat = (xi[j] - mu) * rs;
+      const float dxhat = doi[j] * gamma[j];
+      sum_dxhat += dxhat;
+      sum_dxhat_xhat += dxhat * xhat;
+      dgamma_p[j] += doi[j] * xhat;
+      dbeta_p[j] += doi[j];
     }
+    for (int j = 0; j < cols; ++j) {
+      const float xhat = (xi[j] - mu) * rs;
+      const float dxhat = doi[j] * gamma[j];
+      dxi[j] += rs * (dxhat - inv_cols * sum_dxhat -
+                      xhat * inv_cols * sum_dxhat_xhat);
+    }
+  }
+  for (int j = 0; j < cols; ++j) {
+    dgamma[j] += dgamma_p[j];
+    dbeta[j] += dbeta_p[j];
   }
 }
 

@@ -8,9 +8,11 @@ namespace promptem::tensor::kernels {
 /// Kernel implementation variants. kScalar is the portable reference
 /// (auto-vectorized tiled loops); kAvx2 is the hand-written AVX2/FMA
 /// micro-kernel set, selected at startup when CPUID reports AVX2+FMA.
-/// Results are bitwise deterministic at any pool size *within* one
-/// variant; across variants they agree only to floating-point tolerance
-/// (FMA contraction, 8-lane reduction trees, GELU's polynomial tanh).
+/// Every kernel runs on the calling thread (the pool parallelizes across
+/// samples, one level up), and its results are bitwise deterministic
+/// *within* one variant; across variants they agree only to
+/// floating-point tolerance (FMA contraction, 8-lane reduction trees,
+/// GELU's polynomial tanh).
 enum class KernelVariant { kScalar = 0, kAvx2 = 1 };
 
 /// The variant every dispatched kernel currently runs.
@@ -47,17 +49,14 @@ class ScopedKernelVariant {
 /// op is optional transposition. op(A) is m x k, op(B) is k x n, C is m x n.
 /// A and B are row-major with their *stored* (pre-transpose) layouts:
 /// A is (m x k) when !trans_a, else (k x m); likewise for B.
-/// Cache-tiled (k panels) with a register-blocked microkernel; the outer
-/// M loop is sharded across the core thread pool for large problems. The
-/// k-summation grouping is a pure function of the shape, so results are
-/// bitwise identical for any PROMPTEM_NUM_THREADS.
+/// Cache-tiled (k panels) with a register-blocked microkernel. The
+/// k-summation grouping is a pure function of the shape.
 /// NaN/Inf propagate from both operands (no data-dependent skipping).
 void Gemm(bool trans_a, bool trans_b, int m, int n, int k, float alpha,
           const float* a, const float* b, float beta, float* c);
 
 /// Row-wise softmax with max subtraction: out[i,:] = softmax(x[i,:]).
-/// x and out may alias. Rows are independent and sharded across the pool
-/// for large inputs (as are LogSoftmaxRows and LayerNormForward below).
+/// x and out may alias.
 void SoftmaxRows(const float* x, int rows, int cols, float* out);
 
 /// Row-wise log-softmax. x and out may alias.
@@ -71,9 +70,8 @@ void LayerNormForward(const float* x, int rows, int cols, const float* gamma,
                       float* rstd);
 
 /// Backward of LayerNormForward. Accumulates (+=) into dx, dgamma, dbeta.
-/// The dgamma/dbeta cross-row reductions go through per-chunk buffers
-/// merged in fixed chunk order, keeping results bitwise deterministic
-/// under parallel execution.
+/// dgamma/dbeta first sum every row into a zeroed buffer, which is then
+/// added to them once.
 void LayerNormBackward(const float* x, const float* gamma, const float* mean,
                        const float* rstd, const float* dout, int rows,
                        int cols, float* dx, float* dgamma, float* dbeta);
@@ -84,9 +82,7 @@ void LayerNormBackward(const float* x, const float* gamma, const float* mean,
 /// m x n; stored layouts are pre-transpose, as in Gemm. This is the
 /// workhorse of the fused-attention backward, where per-head operands are
 /// column blocks of packed [T, H*hd] buffers (stride = H*hd) and the
-/// score-shaped factors are contiguous [T, T] scratch. Runs on the calling
-/// thread (the caller parallelizes across heads), so it is safe inside a
-/// ParallelFor chunk.
+/// score-shaped factors are contiguous [T, T] scratch.
 void GemmStrided(bool trans_a, bool trans_b, int m, int n, int k,
                  float alpha, const float* a, int lda, const float* b,
                  int ldb, float beta, float* c, int ldc);
@@ -101,7 +97,7 @@ float FastExpf(float x);
 
 /// out[j] = exp(x[j] - m) for j in [0, n); returns sum_j out[j]. x and
 /// out may alias elementwise (the streaming-softmax in-place case). The
-/// summation grouping is a pure function of n, never of the pool size.
+/// summation grouping is a pure function of n.
 float ExpRowSum(const float* x, float* out, int n, float m);
 
 /// sum_j exp(x[j] - m) without writing the exponentials (log-softmax).
@@ -121,8 +117,8 @@ void AddBlock(const float* src, int ld_src, float* dst, int ld_dst,
 /// out may alias. The scalar variant is the libm-tanh reference; the AVX2
 /// variant builds tanh(u) = 1 - 2 / (1 + e^{2u}) on the shared fast exp and
 /// agrees with it to 1e-6 (absolute below 1, relative above). Each output
-/// is a pure function of its input element, so results never depend on n,
-/// alignment or the pool size.
+/// is a pure function of its input element, so results never depend on n
+/// or alignment.
 void GeluForward(const float* x, float* out, int64_t n);
 
 /// GELU backward: dx[j] += dout[j] * gelu'(x[j]) for n elements.

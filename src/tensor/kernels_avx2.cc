@@ -7,10 +7,9 @@
 // portable table). When the toolchain cannot target AVX2 the whole file
 // compiles to nothing and dispatch never offers the variant.
 //
-// Determinism: every loop below is a pure function of the problem shape —
-// tile walk order, reduction trees, and tails never depend on the pool
-// size — so results are bitwise identical for any PROMPTEM_NUM_THREADS.
-// Relative to the scalar variant the float kernels differ by FMA
+// Determinism: every loop below is a pure function of the problem shape
+// (tile walk order, reduction trees, and tails) and runs on the calling
+// thread. Relative to the scalar variant the float kernels differ by FMA
 // contraction, 8-lane reduction grouping and GELU's exp-based tanh
 // (documented tolerance, see DESIGN.md).
 
@@ -73,13 +72,13 @@ inline __m256 ExpPs(__m256 x) {
 // ---------------------------------------------------------------------------
 // GEMM NN: 4 x 16 microtile (8 FMA accumulators), k-panel outer loop.
 
-void GemmNNChunkAvx2(int i0, int i1, int n, int k, float alpha,
-                     const float* a, const float* b, float* c) {
+void GemmNNAvx2(int m, int n, int k, float alpha, const float* a,
+                const float* b, float* c) {
   const __m256 valpha = _mm256_set1_ps(alpha);
   for (int pc = 0; pc < k; pc += kKc) {
     const int pe = std::min(k, pc + kKc);
-    int i = i0;
-    for (; i + 4 <= i1; i += 4) {
+    int i = 0;
+    for (; i + 4 <= m; i += 4) {
       const float* a0 = a + static_cast<int64_t>(i) * k;
       const float* a1 = a0 + k;
       const float* a2 = a1 + k;
@@ -170,7 +169,7 @@ void GemmNNChunkAvx2(int i0, int i1, int n, int k, float alpha,
       }
     }
     // Ragged row tail, one row at a time.
-    for (; i < i1; ++i) {
+    for (; i < m; ++i) {
       const float* arow = a + static_cast<int64_t>(i) * k;
       float* crow = c + static_cast<int64_t>(i) * n;
       int j = 0;
@@ -198,10 +197,10 @@ void GemmNNChunkAvx2(int i0, int i1, int n, int k, float alpha,
 // ---------------------------------------------------------------------------
 // GEMM NT: 2 x 4 dot-product block, 8-lane accumulators over k.
 
-void GemmNTChunkAvx2(int i0, int i1, int n, int k, float alpha,
-                     const float* a, const float* b, float* c) {
-  int i = i0;
-  for (; i + 2 <= i1; i += 2) {
+void GemmNTAvx2(int m, int n, int k, float alpha, const float* a,
+                const float* b, float* c) {
+  int i = 0;
+  for (; i + 2 <= m; i += 2) {
     const float* a0 = a + static_cast<int64_t>(i) * k;
     const float* a1 = a0 + k;
     float* c0 = c + static_cast<int64_t>(i) * n;
@@ -276,7 +275,7 @@ void GemmNTChunkAvx2(int i0, int i1, int n, int k, float alpha,
       c1[j] += alpha * t1;
     }
   }
-  for (; i < i1; ++i) {
+  for (; i < m; ++i) {
     const float* arow = a + static_cast<int64_t>(i) * k;
     float* crow = c + static_cast<int64_t>(i) * n;
     for (int j = 0; j < n; ++j) {
@@ -297,12 +296,12 @@ void GemmNTChunkAvx2(int i0, int i1, int n, int k, float alpha,
 // ---------------------------------------------------------------------------
 // GEMM TN: p-outer axpy — broadcast A^T[i, p], stream B's row p.
 
-void GemmTNChunkAvx2(int i0, int i1, int n, int k, int m, float alpha,
-                     const float* a, const float* b, float* c) {
+void GemmTNAvx2(int m, int n, int k, float alpha, const float* a,
+                const float* b, float* c) {
   for (int p = 0; p < k; ++p) {
     const float* ap = a + static_cast<int64_t>(p) * m;
     const float* bp = b + static_cast<int64_t>(p) * n;
-    for (int i = i0; i < i1; ++i) {
+    for (int i = 0; i < m; ++i) {
       const float av = alpha * ap[i];
       const __m256 vav = _mm256_set1_ps(av);
       float* crow = c + static_cast<int64_t>(i) * n;
@@ -322,11 +321,11 @@ void GemmTNChunkAvx2(int i0, int i1, int n, int k, int m, float alpha,
 // eight C rows accumulate in one register; the [8, 2] result scatters
 // through a stack spill (C columns are strided).
 
-void GemmTTChunkAvx2(int i0, int i1, int n, int k, int m, float alpha,
-                     const float* a, const float* b, float* c) {
+void GemmTTAvx2(int m, int n, int k, float alpha, const float* a,
+                const float* b, float* c) {
   const __m256 valpha = _mm256_set1_ps(alpha);
-  int i = i0;
-  for (; i + 8 <= i1; i += 8) {
+  int i = 0;
+  for (; i + 8 <= m; i += 8) {
     int j = 0;
     for (; j + 2 <= n; j += 2) {
       const float* b0 = b + static_cast<int64_t>(j) * k;
@@ -365,7 +364,7 @@ void GemmTTChunkAvx2(int i0, int i1, int n, int k, int m, float alpha,
     }
   }
   // Ragged row tail: scalar indexed loop (same shape as the reference).
-  for (; i < i1; ++i) {
+  for (; i < m; ++i) {
     float* crow = c + static_cast<int64_t>(i) * n;
     for (int p = 0; p < k; ++p) {
       const float av = alpha * a[static_cast<int64_t>(p) * m + i];
@@ -724,8 +723,8 @@ void GeluGradRowAvx2(const float* x, const float* dout, float* dx,
 
 const KernelTable& Avx2Table() {
   static const KernelTable table = {
-      KernelVariant::kAvx2, GemmNNChunkAvx2, GemmNTChunkAvx2,
-      GemmTNChunkAvx2,      GemmTTChunkAvx2, GemmStridedAvx2,
+      KernelVariant::kAvx2, GemmNNAvx2,      GemmNTAvx2,
+      GemmTNAvx2,           GemmTTAvx2,      GemmStridedAvx2,
       ExpRowSumAvx2,        SumExpRowAvx2,   RowMaxAvx2,
       LayerNormRowAvx2,     GeluRowAvx2,     GeluGradRowAvx2,
   };

@@ -7,11 +7,10 @@
 // supports it). Not installed with the public headers: everything here
 // is an implementation detail of tensor/kernels.cc.
 //
-// Each entry is one *chunk* or *row* primitive. The parallel
-// decomposition (ParallelFor grains, k-panel grouping) lives in the
-// dispatching wrappers and is identical for every variant, so results
-// are bitwise deterministic at any pool size *within* a variant; the
-// two variants differ from each other only by documented floating-point
+// Each entry is one whole-matrix or *row* primitive and runs on the
+// calling thread. Every summation grouping is a pure function of the
+// shape, so results are bitwise deterministic *within* a variant; the two
+// variants differ from each other only by documented floating-point
 // tolerance (FMA contraction and 8-lane reduction trees).
 
 #include <cstdint>
@@ -23,18 +22,18 @@ namespace promptem::tensor::kernels::detail {
 struct KernelTable {
   KernelVariant variant;
 
-  /// C[i0:i1, :] += alpha * A[i0:i1, :] * B, row-major A (m x k), B (k x n).
-  void (*gemm_nn_chunk)(int i0, int i1, int n, int k, float alpha,
-                        const float* a, const float* b, float* c);
-  /// C[i0:i1, :] += alpha * A[i0:i1, :] * B^T, B stored (n x k).
-  void (*gemm_nt_chunk)(int i0, int i1, int n, int k, float alpha,
-                        const float* a, const float* b, float* c);
-  /// C[i0:i1, :] += alpha * A^T[i0:i1, :] * B, A stored (k x m).
-  void (*gemm_tn_chunk)(int i0, int i1, int n, int k, int m, float alpha,
-                        const float* a, const float* b, float* c);
-  /// C[i0:i1, :] += alpha * A^T * B^T, A (k x m), B (n x k).
-  void (*gemm_tt_chunk)(int i0, int i1, int n, int k, int m, float alpha,
-                        const float* a, const float* b, float* c);
+  /// C += alpha * A * B, row-major A (m x k), B (k x n).
+  void (*gemm_nn)(int m, int n, int k, float alpha, const float* a,
+                  const float* b, float* c);
+  /// C += alpha * A * B^T, B stored (n x k).
+  void (*gemm_nt)(int m, int n, int k, float alpha, const float* a,
+                  const float* b, float* c);
+  /// C += alpha * A^T * B, A stored (k x m).
+  void (*gemm_tn)(int m, int n, int k, float alpha, const float* a,
+                  const float* b, float* c);
+  /// C += alpha * A^T * B^T, A (k x m), B (n x k).
+  void (*gemm_tt)(int m, int n, int k, float alpha, const float* a,
+                  const float* b, float* c);
 
   /// Strided single-thread GEMM over views (all four transpose cases);
   /// beta scaling is applied by the caller.

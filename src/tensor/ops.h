@@ -112,8 +112,7 @@ Tensor SliceCols(const Tensor& x, int col_begin, int count);
 /// their terms, which is bitwise what the full pass sums when the other
 /// rows' output gradient is zero.
 ///
-/// One tiled pass per (head, row-tile) — parallelized via
-/// core::ParallelFor with a pool-size-independent decomposition — reads
+/// One tiled pass per (head, row-tile), on the calling thread, reads
 /// the head operands as strided views, runs a streaming (online-max)
 /// softmax so score tiles stay cache-resident, and applies inverted
 /// dropout with keep-scale 1/(1-p). The Bernoulli mask is pre-drawn from

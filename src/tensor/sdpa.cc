@@ -17,17 +17,16 @@
 //  * with grad mode off builds no graph and draws its workspace and mask
 //    from the thread's ScratchArena when one is installed.
 //
-// Determinism: the (head, row-tile) task decomposition and every
-// per-row reduction order are pure functions of (M, T, H, hd) and the
-// tile constants — never of the pool size — and tasks write disjoint
-// output regions, so results are bitwise identical for any
-// PROMPTEM_NUM_THREADS. A query row's chain of GEMM, online-max and
-// normalize steps never reads another query row, so row i of an M-row
-// pass is bitwise the one-row pass over q's row i (property_test pins
-// this); the encoder's last layer relies on it to attend from only the
-// rows its head reads, in every mode. The dropout mask is drawn for the
-// full [T, T] score matrix and the backward's dS is [M, T]: an unread
-// query row would only have added exact zeros to dK and dV.
+// Determinism: the pass runs on the calling thread (the pool parallelizes
+// across samples, one level up), and every per-row reduction order is a
+// pure function of (M, T, H, hd) and the tile constants. A query row's
+// chain of GEMM, online-max and normalize steps never reads another query
+// row, so row i of an M-row pass is bitwise the one-row pass over q's row
+// i (property_test pins this); the encoder's last layer relies on it to
+// attend from only the rows its head reads, in every mode. The dropout
+// mask is drawn for the full [T, T] score matrix and the backward's dS is
+// [M, T]: an unread query row would only have added exact zeros to dK
+// and dV.
 
 #include <algorithm>
 #include <cmath>
@@ -37,7 +36,6 @@
 #include <utility>
 #include <vector>
 
-#include "core/thread_pool.h"
 #include "tensor/autograd.h"
 #include "tensor/kernels.h"
 #include "tensor/ops.h"
@@ -47,8 +45,8 @@ namespace promptem::tensor::ops {
 
 namespace {
 
-/// Query rows per parallel task and key columns per streaming tile. The
-/// live working set per task is one [kSdpaRowTile, kSdpaKeyTile] score
+/// Query rows per row tile and key columns per streaming tile. The live
+/// working set per row tile is one [kSdpaRowTile, kSdpaKeyTile] score
 /// tile plus a [kSdpaRowTile, hd] output accumulator and the running
 /// max/denominator vectors — small enough to stay in L1/L2 for every
 /// configuration the library runs.
@@ -72,9 +70,10 @@ void AttachNode(Tensor* out, std::vector<Tensor> parents,
 /// plain NN GEMM — the unit-stride axpy kernel, ~4x the throughput of
 /// the dot-product NT case. `mask` / `p_cache` are this head's [M, T]
 /// slices, row i for query row i (null when dropout is off / grad is
-/// off). Task scratch: `tile` is [kSdpaRowTile, kSdpaKeyTile] (scores,
-/// then probabilities, in place), `acc` is [kSdpaRowTile, hd],
-/// `mvec`/`lvec` hold each row's running max and denominator.
+/// off). Scratch, initialized here: `tile` is
+/// [kSdpaRowTile, kSdpaKeyTile] (scores, then probabilities, in place),
+/// `acc` is [kSdpaRowTile, hd], `mvec`/`lvec` hold each row's running max
+/// and denominator.
 /// `out_head` is the head's column block of the packed output.
 void SdpaForwardTile(const ConstMatView& qh, const float* kt_h,
                      const ConstMatView& vh, MatView out_head, int i0,
@@ -161,8 +160,6 @@ Tensor FusedSdpa(const Tensor& q, const Tensor& k, const Tensor& v,
   PROMPTEM_CHECK(num_heads > 0 && d % num_heads == 0);
   PROMPTEM_CHECK(dropout_p >= 0.0f && dropout_p < 1.0f);
   const int hd = d / num_heads;
-  const int row_tiles = (m + kSdpaRowTile - 1) / kSdpaRowTile;
-  const int64_t tasks = static_cast<int64_t>(num_heads) * row_tiles;
 
   // Query row i sits at position pos(i) of the key sequence. Only the
   // dropout mask reads positions, so without q_rows any M runs dropout-
@@ -187,7 +184,7 @@ Tensor FusedSdpa(const Tensor& q, const Tensor& k, const Tensor& v,
 
   // Pre-draw the dropout mask sequentially, in the exact order the
   // unfused composition consumes `rng` (head-major, row-major within each
-  // head's [T, T] attention matrix): the parallel pass below must not
+  // head's [T, T] attention matrix): the tiled pass below must not
   // touch the stream. Every row is drawn and only the query rows' draws
   // are kept, as head h's [M, T] slice, so the stream and those rows'
   // masks are the full pass's. Allocated as a tensor so an installed
@@ -219,57 +216,44 @@ Tensor FusedSdpa(const Tensor& q, const Tensor& k, const Tensor& v,
   if (track) p_cache = Tensor::Zeros({num_heads * m, t});
 
   Tensor out = Tensor::Zeros({m, d});
-  // Per-task workspace (score/probability tile + output accumulator +
-  // running max / denominator vectors), one slab so the graph-free path
-  // costs a single arena draw per forward.
-  const int per_task =
+  // Row-tile workspace (score/probability tile + output accumulator +
+  // running max / denominator vectors) and the head's transposed key
+  // panel [hd, t], one slab so the graph-free path costs a single arena
+  // draw per forward. The panel turns scores into the unit-stride NN GEMM
+  // kernel instead of the much slower dot-product NT case, and is
+  // transposed once per head and shared by all of its row tiles.
+  const int per_tile =
       kSdpaRowTile * kSdpaKeyTile + kSdpaRowTile * hd + 2 * kSdpaRowTile;
-  Tensor workspace = Tensor::Zeros({static_cast<int>(tasks), per_task});
-  // Per-head transposed key panels [hd, t]: scores then come from the
-  // unit-stride NN GEMM kernel instead of the much slower dot-product NT
-  // case, and each panel is transposed once and shared by every row-tile
-  // task of that head.
-  Tensor k_t = Tensor::Zeros({num_heads, hd * t});
+  Tensor workspace = Tensor::Zeros({per_tile + hd * t});
+  float* tile = workspace.data();
+  float* acc = tile + kSdpaRowTile * kSdpaKeyTile;
+  float* mvec = acc + kSdpaRowTile * hd;
+  float* lvec = mvec + kSdpaRowTile;
+  float* panel = tile + per_tile;
 
   const float* mask_data = mask.defined() ? mask.data() : nullptr;
   float* cache_data = p_cache.defined() ? p_cache.data() : nullptr;
-  float* ws = workspace.data();
-  float* kt_data = k_t.data();
   const float* k_data = k.data();
   const int64_t head_elems = static_cast<int64_t>(m) * t;
 
-  core::ParallelFor(0, num_heads, 1, [&](int64_t hb, int64_t he) {
-    for (int64_t h = hb; h < he; ++h) {
-      float* panel = kt_data + h * static_cast<int64_t>(hd) * t;
-      for (int i = 0; i < t; ++i) {
-        const float* krow = k_data + static_cast<int64_t>(i) * d + h * hd;
-        for (int c = 0; c < hd; ++c) {
-          panel[static_cast<int64_t>(c) * t + i] = krow[c];
-        }
+  for (int h = 0; h < num_heads; ++h) {
+    for (int i = 0; i < t; ++i) {
+      const float* krow = k_data + static_cast<int64_t>(i) * d + h * hd;
+      for (int c = 0; c < hd; ++c) {
+        panel[static_cast<int64_t>(c) * t + i] = krow[c];
       }
     }
-  });
-
-  core::ParallelFor(0, tasks, 1, [&](int64_t begin, int64_t end) {
-    for (int64_t task = begin; task < end; ++task) {
-      const int h = static_cast<int>(task / row_tiles);
-      const int rt = static_cast<int>(task % row_tiles);
-      const int i0 = rt * kSdpaRowTile;
-      const int i1 = std::min(m, i0 + kSdpaRowTile);
-      float* tile = ws + task * per_task;
-      float* acc = tile + kSdpaRowTile * kSdpaKeyTile;
-      float* mvec = acc + kSdpaRowTile * hd;
-      float* lvec = mvec + kSdpaRowTile;
+    for (int i0 = 0; i0 < m; i0 += kSdpaRowTile) {
       SdpaForwardTile(
-          ColBlockView(q.data(), m, d, h * hd, hd),
-          kt_data + h * static_cast<int64_t>(hd) * t,
+          ColBlockView(q.data(), m, d, h * hd, hd), panel,
           ColBlockView(v.data(), t, d, h * hd, hd),
-          MutColBlockView(out.data(), m, d, h * hd, hd), i0, i1, scale,
+          MutColBlockView(out.data(), m, d, h * hd, hd), i0,
+          std::min(m, i0 + kSdpaRowTile), scale,
           mask_data == nullptr ? nullptr : mask_data + h * head_elems,
           cache_data == nullptr ? nullptr : cache_data + h * head_elems,
           tile, acc, mvec, lvec);
     }
-  });
+  }
 
   if (!track) return out;
 
@@ -280,8 +264,6 @@ Tensor FusedSdpa(const Tensor& q, const Tensor& k, const Tensor& v,
   AttachNode(&out, {q, k, v}, [qi, ki, vi, oi, p_cache, mask, m, t, d,
                                num_heads, hd, scale]() {
     const float* dout = oi->grad_data();
-    // Resolve grad sinks once on the backward thread: GradShard scopes
-    // are thread-local, so pool workers must receive raw pointers.
     float* dq = nullptr;
     float* dk = nullptr;
     float* dv = nullptr;
@@ -303,57 +285,53 @@ Tensor FusedSdpa(const Tensor& q, const Tensor& k, const Tensor& v,
     const float* mk = mask.defined() ? mask.data() : nullptr;
     const float* cache = p_cache.data();
     const int64_t head_elems = static_cast<int64_t>(m) * t;
-    // Per-head scratch: dS ([M, T], score-shaped) plus, under dropout,
-    // the masked probabilities A = mask .* P.
-    const int64_t per_head = (mk == nullptr ? 1 : 2) * head_elems;
-    std::vector<float> scratch(static_cast<size_t>(num_heads) * per_head);
-    // Heads write disjoint column blocks of dq/dk/dv, so the parallel
-    // loop is race-free and bitwise deterministic at any pool size.
-    core::ParallelFor(0, num_heads, 1, [&](int64_t hb, int64_t he) {
-      for (int64_t h = hb; h < he; ++h) {
-        const float* P = cache + h * head_elems;
-        float* dS = scratch.data() + h * per_head;
-        const float* mh = mk == nullptr ? nullptr : mk + h * head_elems;
-        const float* doh = dout + h * hd;
-        // dV_h += A^T dO_h with A = mask .* P (A = P when dropout off).
-        const float* a = P;
-        if (mh != nullptr) {
-          float* masked = dS + head_elems;
-          for (int64_t idx = 0; idx < head_elems; ++idx) {
-            masked[idx] = P[idx] * mh[idx];
-          }
-          a = masked;
+    // Scratch reused by every head: dS ([M, T], score-shaped) plus,
+    // under dropout, the masked probabilities A = mask .* P.
+    std::vector<float> scratch(
+        static_cast<size_t>((mk == nullptr ? 1 : 2) * head_elems));
+    float* dS = scratch.data();
+    for (int h = 0; h < num_heads; ++h) {
+      const float* P = cache + h * head_elems;
+      const float* mh = mk == nullptr ? nullptr : mk + h * head_elems;
+      const float* doh = dout + h * hd;
+      // dV_h += A^T dO_h with A = mask .* P (A = P when dropout off).
+      const float* a = P;
+      if (mh != nullptr) {
+        float* masked = dS + head_elems;
+        for (int64_t idx = 0; idx < head_elems; ++idx) {
+          masked[idx] = P[idx] * mh[idx];
         }
-        if (dv != nullptr) {
-          kernels::GemmStrided(true, false, t, hd, m, 1.0f, a, t, doh, d,
-                               1.0f, dv + h * hd, d);
-        }
-        if (dq == nullptr && dk == nullptr) continue;
-        // dA = dO_h V_h^T, then dP = mask .* dA, then the softmax
-        // backward dS = P .* (dP - rowsum(dP .* P)), all in one buffer.
-        kernels::GemmStrided(false, true, m, t, hd, 1.0f, doh, d,
-                             vd + h * hd, d, 0.0f, dS, t);
-        for (int i = 0; i < m; ++i) {
-          const float* pi = P + static_cast<int64_t>(i) * t;
-          float* dsi = dS + static_cast<int64_t>(i) * t;
-          if (mh != nullptr) {
-            const float* mi = mh + static_cast<int64_t>(i) * t;
-            for (int j = 0; j < t; ++j) dsi[j] *= mi[j];
-          }
-          float dot = 0.0f;
-          for (int j = 0; j < t; ++j) dot += dsi[j] * pi[j];
-          for (int j = 0; j < t; ++j) dsi[j] = pi[j] * (dsi[j] - dot);
-        }
-        if (dq != nullptr) {
-          kernels::GemmStrided(false, false, m, hd, t, scale, dS, t,
-                               kd + h * hd, d, 1.0f, dq + h * hd, d);
-        }
-        if (dk != nullptr) {
-          kernels::GemmStrided(true, false, t, hd, m, scale, dS, t,
-                               qd + h * hd, d, 1.0f, dk + h * hd, d);
-        }
+        a = masked;
       }
-    });
+      if (dv != nullptr) {
+        kernels::GemmStrided(true, false, t, hd, m, 1.0f, a, t, doh, d,
+                             1.0f, dv + h * hd, d);
+      }
+      if (dq == nullptr && dk == nullptr) continue;
+      // dA = dO_h V_h^T, then dP = mask .* dA, then the softmax
+      // backward dS = P .* (dP - rowsum(dP .* P)), all in one buffer.
+      kernels::GemmStrided(false, true, m, t, hd, 1.0f, doh, d,
+                           vd + h * hd, d, 0.0f, dS, t);
+      for (int i = 0; i < m; ++i) {
+        const float* pi = P + static_cast<int64_t>(i) * t;
+        float* dsi = dS + static_cast<int64_t>(i) * t;
+        if (mh != nullptr) {
+          const float* mi = mh + static_cast<int64_t>(i) * t;
+          for (int j = 0; j < t; ++j) dsi[j] *= mi[j];
+        }
+        float dot = 0.0f;
+        for (int j = 0; j < t; ++j) dot += dsi[j] * pi[j];
+        for (int j = 0; j < t; ++j) dsi[j] = pi[j] * (dsi[j] - dot);
+      }
+      if (dq != nullptr) {
+        kernels::GemmStrided(false, false, m, hd, t, scale, dS, t,
+                             kd + h * hd, d, 1.0f, dq + h * hd, d);
+      }
+      if (dk != nullptr) {
+        kernels::GemmStrided(true, false, t, hd, m, scale, dS, t,
+                             qd + h * hd, d, 1.0f, dk + h * hd, d);
+      }
+    }
   });
   return out;
 }

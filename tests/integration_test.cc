@@ -14,9 +14,10 @@
 namespace promptem {
 namespace {
 
-// The integration suite exercises the exact LM the benchmark harness
-// uses: the shared pre-trained model, cached on disk at the repo root
-// (first build takes minutes; all later runs load instantly).
+// The integration suite exercises the shared pre-trained LM that the
+// bench/ table binaries, the examples and the CLI default load, cached on
+// disk at the repo root (first build takes minutes; all later runs load
+// instantly). benchmark/ loads tests/data/promptem_integration_lm instead.
 const lm::PretrainedLM& IntegrationLM() {
   static const lm::PretrainedLM* kLm =
       lm::GetOrCreateSharedLM("promptem_shared_lm", 42).release();

@@ -2,9 +2,12 @@
 // PretrainedLM bundle.
 
 #include <cstdio>
+#include <cstring>
+#include <utility>
 
 #include <gtest/gtest.h>
 
+#include "core/thread_pool.h"
 #include "data/benchmarks.h"
 #include "lm/corpus.h"
 #include "lm/mlm.h"
@@ -126,6 +129,50 @@ TEST(PretrainTest, LossDecreases) {
   ASSERT_EQ(losses.size(), 2u);
   EXPECT_LT(losses[1], losses[0]);
   EXPECT_GT(losses[0], 0.0f);
+}
+
+// Pre-training runs TrainLoop's sequential mode: one document per step,
+// every op on the loop thread. The pool size must not move a parameter
+// bit or an epoch loss.
+TEST(PretrainTest, BitwiseIdenticalAcrossPoolSizes) {
+  Corpus corpus = BuildCorpus(OneSmallDataset(), 1);
+  const text::Vocab vocab = BuildCorpusVocab(corpus, RequiredPromptTokens());
+  corpus.documents.resize(6);
+  nn::TransformerConfig config;
+  config.vocab_size = vocab.size();
+  config.dim = 16;
+  config.num_layers = 1;
+  config.num_heads = 2;
+  config.ffn_dim = 32;
+  config.max_seq_len = 96;
+  auto pretrain = [&](int threads) {
+    core::SetNumThreads(threads);
+    core::Rng rng(11);
+    nn::TransformerEncoder encoder(config, &rng);
+    MlmOptions options;
+    options.epochs = 2;
+    options.always_mask_words = {"similar", "different"};
+    std::vector<float> losses =
+        PretrainMlm(&encoder, corpus, vocab, options, &rng);
+    std::vector<float> params;
+    for (const auto& p : encoder.NamedParameters()) {
+      params.insert(params.end(), p.param.data(),
+                    p.param.data() + p.param.numel());
+    }
+    return std::make_pair(losses, params);
+  };
+  const auto single = pretrain(1);
+  const auto pooled = pretrain(4);
+  core::SetNumThreads(0);
+  ASSERT_EQ(single.first.size(), 2u);
+  ASSERT_EQ(pooled.first.size(), 2u);
+  ASSERT_EQ(single.second.size(), pooled.second.size());
+  EXPECT_EQ(std::memcmp(single.first.data(), pooled.first.data(),
+                        single.first.size() * sizeof(float)),
+            0);
+  EXPECT_EQ(std::memcmp(single.second.data(), pooled.second.data(),
+                        single.second.size() * sizeof(float)),
+            0);
 }
 
 TEST(PretrainedLmTest, PretrainSaveLoadCloneRoundTrip) {

@@ -134,8 +134,8 @@ auto UnderBothPoolSizes(const Fn& fn) {
 }
 
 TEST(DeterminismTest, GemmBitwiseIdenticalAcrossPoolSizes) {
-  // 128^3 = 2^21 exceeds the parallel threshold, so the pooled run really
-  // shards rows across lanes.
+  // Gemm runs on the calling thread; a 128^3 product at pool sizes 1 and
+  // 4 pins that no lane count reaches its bits.
   constexpr int kN = 128;
   std::vector<float> a(kN * kN);
   std::vector<float> b(kN * kN);

@@ -402,8 +402,9 @@ TEST(GeluParityTest, BackwardAccumulatesIntoDx) {
 }
 
 /// Every dispatched kernel must produce identical bits at any pool size
-/// (the chunk decomposition is a pure function of the shape). Run the
-/// pool sweep in whichever variant is active *and* pinned scalar.
+/// (kernels run on the calling thread, and every summation grouping is a
+/// pure function of the shape). Run the pool sweep in whichever variant
+/// is active *and* pinned scalar.
 class PoolDeterminismTest
     : public ::testing::TestWithParam<KernelVariant> {};
 

@@ -34,6 +34,15 @@ run_suite() {
 
 extra_flags=("$@")
 
+# 0. One level of parallelism: tensor kernels and nn modules run on the
+#    calling thread, so nothing under src/tensor or src/nn may include the
+#    pool or call ParallelFor (as CI's tier1 job checks).
+if grep -rnE 'ParallelFor|thread_pool\.h' src/tensor src/nn; then
+  echo "run_checks.sh: src/tensor and src/nn must not use the pool;" \
+       "parallelize across samples (DESIGN.md section 5)" >&2
+  exit 1
+fi
+
 # 1. The whole suite under a plain Release build, then the check that the
 #    committed BENCH_micro.json records every micro bench (as CI's tier1
 #    job does).
