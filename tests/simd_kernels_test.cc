@@ -15,6 +15,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/hashing.h"
 #include "core/rng.h"
 #include "core/thread_pool.h"
 #include "tensor/kernels.h"
@@ -197,6 +198,153 @@ TEST(GemmParityTest, StridedAvx2MatchesScalar) {
             }
           }
         }
+      }
+    }
+  }
+}
+
+// The AVX2 kernels' scalar tails are plain multiply-adds, which the
+// compiler may fuse into FMAs; sanitizer instrumentation changes which
+// ones it fuses, so AVX2 bits are pinned in uninstrumented builds only
+// (as in ScoringGoldenTest). The scalar table has nothing to fuse.
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+constexpr bool kSanitizerBuild = true;
+#else
+constexpr bool kSanitizerBuild = false;
+#endif
+
+struct GemmShape {
+  int m, n, k;
+};
+
+/// Every microtile tail (rows mod 2/4/8, columns mod 4/8/16, k mod 8) on
+/// short dots, plus the k = 255/256/257 edge of NN's k panels.
+std::vector<GemmShape> GoldenGemmShapes() {
+  std::vector<GemmShape> shapes;
+  const int kEdges[] = {1, 2, 3, 4, 5, 6, 7, 8, 9, 15, 16, 17, 24, 33};
+  for (int m : kEdges) {
+    for (int n : kEdges) {
+      for (int k : {1, 2, 3, 7, 8, 9, 16, 17, 33}) shapes.push_back({m, n, k});
+    }
+  }
+  for (int k : {255, 256, 257}) {
+    for (int m : {1, 2, 3, 4, 5, 9}) {
+      for (int n : {1, 4, 7, 8, 16, 17, 33}) shapes.push_back({m, n, k});
+    }
+  }
+  return shapes;
+}
+
+/// A rows x cols matrix held twice: packed, and with kPad extra floats
+/// per row holding `fill`.
+struct GoldenOperand {
+  static constexpr int kPad = 3;
+  std::vector<float> packed, padded;
+  int cols = 0;
+  int ld() const { return cols + kPad; }
+};
+
+GoldenOperand MakeGoldenOperand(int rows, int cols, float fill,
+                                core::Rng* rng) {
+  GoldenOperand op;
+  op.cols = cols;
+  op.packed = RandomVec(static_cast<size_t>(rows) * cols, rng);
+  op.padded.assign(static_cast<size_t>(rows) * op.ld(), fill);
+  for (int r = 0; r < rows; ++r) {
+    std::copy_n(op.packed.begin() + static_cast<int64_t>(r) * cols, cols,
+                op.padded.begin() + static_cast<int64_t>(r) * op.ld());
+  }
+  return op;
+}
+
+/// Pinned FNV-1a digests of Gemm's and GemmStrided's outputs over
+/// GoldenGemmShapes (beta 0 and 0.7) per transpose case and variant.
+struct GemmGolden {
+  bool trans_a, trans_b;
+  uint64_t scalar_gemm, scalar_strided, avx2_gemm, avx2_strided;
+};
+
+constexpr GemmGolden kGemmGoldens[] = {
+    {false, false, 7113716366550042368ull, 6661858239195919161ull,
+     14779830438060808792ull, 17254647468902764166ull},
+    {false, true, 4770824114905537801ull, 4770824114905537801ull,
+     3832155454053778741ull, 3832155454053778741ull},
+    {true, false, 7638541829153335799ull, 7638541829153335799ull,
+     4297679196626216787ull, 4297679196626216787ull},
+    {true, true, 1151887796313091888ull, 1151887796313091888ull,
+     7908120723903670832ull, 7908120723903670832ull},
+};
+
+// Pins every GEMM case of both entry points across commits, and the
+// identities the kernel table relies on: Gemm equals GemmStrided bit for
+// bit on NT, TN and TT (they share one loop per case), and GemmStrided
+// over padded views equals it over packed buffers without reading A's or
+// B's padding (NaN there would reach C) or writing C's.
+TEST(GemmGoldenTest, DigestsPinnedAndStridedMatchesGemm) {
+  const std::vector<GemmShape> shapes = GoldenGemmShapes();
+  const float kCPadFill = 12345.0f;
+  for (KernelVariant v : {KernelVariant::kScalar, KernelVariant::kAvx2}) {
+    ScopedKernelVariant pin(v);
+    const KernelVariant active = kernels::ActiveKernelVariant();
+    SCOPED_TRACE(kernels::KernelVariantName(active));
+    for (const GemmGolden& golden : kGemmGoldens) {
+      const bool ta = golden.trans_a;
+      const bool tb = golden.trans_b;
+      SCOPED_TRACE("trans_a=" + std::to_string(ta) +
+                   " trans_b=" + std::to_string(tb));
+      core::Rng rng(2027);
+      uint64_t gemm_digest = core::kFnv1aOffset;
+      uint64_t strided_digest = core::kFnv1aOffset;
+      int mismatches = 0;
+      std::string first_mismatch;
+      for (const GemmShape& s : shapes) {
+        const GoldenOperand a = MakeGoldenOperand(
+            ta ? s.k : s.m, ta ? s.m : s.k, std::nanf(""), &rng);
+        const GoldenOperand b = MakeGoldenOperand(
+            tb ? s.n : s.k, tb ? s.k : s.n, std::nanf(""), &rng);
+        const GoldenOperand c0 = MakeGoldenOperand(s.m, s.n, kCPadFill, &rng);
+        for (float beta : {0.0f, 0.7f}) {
+          std::vector<float> c_gemm = c0.packed;
+          kernels::Gemm(ta, tb, s.m, s.n, s.k, 1.3f, a.packed.data(),
+                        b.packed.data(), beta, c_gemm.data());
+          std::vector<float> c_strided = c0.packed;
+          kernels::GemmStrided(ta, tb, s.m, s.n, s.k, 1.3f, a.packed.data(),
+                               a.cols, b.packed.data(), b.cols, beta,
+                               c_strided.data(), s.n);
+          std::vector<float> c_padded = c0.padded;
+          kernels::GemmStrided(ta, tb, s.m, s.n, s.k, 1.3f, a.padded.data(),
+                               a.ld(), b.padded.data(), b.ld(), beta,
+                               c_padded.data(), c0.ld());
+          gemm_digest = core::Fnv1a64(
+              c_gemm.data(), c_gemm.size() * sizeof(float), gemm_digest);
+          strided_digest =
+              core::Fnv1a64(c_strided.data(),
+                            c_strided.size() * sizeof(float), strided_digest);
+          std::vector<float> want_padded = c0.padded;
+          for (int r = 0; r < s.m; ++r) {
+            std::copy_n(c_strided.begin() + static_cast<int64_t>(r) * s.n,
+                        s.n,
+                        want_padded.begin() + static_cast<int64_t>(r) * c0.ld());
+          }
+          const bool shared_loop = ta || tb;
+          if (!BitsEqual(c_padded, want_padded) ||
+              (shared_loop && !BitsEqual(c_gemm, c_strided))) {
+            if (mismatches++ == 0) {
+              first_mismatch = "m=" + std::to_string(s.m) +
+                               " n=" + std::to_string(s.n) +
+                               " k=" + std::to_string(s.k) +
+                               " beta=" + std::to_string(beta);
+            }
+          }
+        }
+      }
+      EXPECT_EQ(mismatches, 0) << "first at " << first_mismatch;
+      if (active == KernelVariant::kScalar) {
+        EXPECT_EQ(gemm_digest, golden.scalar_gemm);
+        EXPECT_EQ(strided_digest, golden.scalar_strided);
+      } else if (!kSanitizerBuild) {
+        EXPECT_EQ(gemm_digest, golden.avx2_gemm);
+        EXPECT_EQ(strided_digest, golden.avx2_strided);
       }
     }
   }
