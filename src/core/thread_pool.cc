@@ -247,6 +247,4 @@ void ParallelFor(int64_t begin, int64_t end, int64_t grain,
   ThreadPool::Get().Run(begin, end, grain, fn);
 }
 
-bool InParallelRegion() { return t_in_parallel_region; }
-
 }  // namespace promptem::core

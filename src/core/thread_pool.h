@@ -36,10 +36,6 @@ void SetNumThreads(int n);
 void ParallelFor(int64_t begin, int64_t end, int64_t grain,
                  const RangeFn& fn);
 
-/// True while the current thread is executing a ParallelFor chunk; nested
-/// ParallelFor calls detect this and degrade to inline execution.
-bool InParallelRegion();
-
 }  // namespace promptem::core
 
 #endif  // PROMPTEM_CORE_THREAD_POOL_H_

@@ -120,23 +120,54 @@ void GemmNN(int m, int n, int k, float alpha, const float* a,
   }
 }
 
-/// C += alpha * A * B^T for row-major A (m x k) and B stored (n x k):
-/// rows of dot products, 2 x 4 register blocking so the k loop carries
-/// eight independent accumulator chains.
-void GemmNT(int m, int n, int k, float alpha, const float* a,
-            const float* b, float* c) {
+/// C += alpha * A * B over views with row strides lda/ldb/ldc: unit-stride
+/// axpy into C's row, 4-way unrolled over p so each pass over C[i,:]
+/// folds four B rows (short-n callers like attention's P.V with
+/// n = head_dim would otherwise spend most of their time re-reading C).
+void GemmNNStrided(int m, int n, int k, float alpha, const float* a, int lda,
+                   const float* b, int ldb, float* c, int ldc) {
+  for (int i = 0; i < m; ++i) {
+    const float* arow = a + static_cast<int64_t>(i) * lda;
+    float* crow = c + static_cast<int64_t>(i) * ldc;
+    int p = 0;
+    for (; p + 4 <= k; p += 4) {
+      const float a0 = alpha * arow[p];
+      const float a1 = alpha * arow[p + 1];
+      const float a2 = alpha * arow[p + 2];
+      const float a3 = alpha * arow[p + 3];
+      const float* b0 = b + static_cast<int64_t>(p) * ldb;
+      const float* b1 = b0 + ldb;
+      const float* b2 = b1 + ldb;
+      const float* b3 = b2 + ldb;
+      for (int j = 0; j < n; ++j) {
+        crow[j] += a0 * b0[j] + a1 * b1[j] + a2 * b2[j] + a3 * b3[j];
+      }
+    }
+    for (; p < k; ++p) {
+      const float av = alpha * arow[p];
+      const float* brow = b + static_cast<int64_t>(p) * ldb;
+      for (int j = 0; j < n; ++j) crow[j] += av * brow[j];
+    }
+  }
+}
+
+/// C += alpha * A * B^T for A (m x k) and B stored (n x k), with row
+/// strides lda/ldb/ldc: rows of dot products, 2 x 4 register blocking so
+/// the k loop carries eight independent accumulator chains.
+void GemmNT(int m, int n, int k, float alpha, const float* a, int lda,
+            const float* b, int ldb, float* c, int ldc) {
   int i = 0;
   for (; i + 2 <= m; i += 2) {
-    const float* a0 = a + static_cast<int64_t>(i) * k;
-    const float* a1 = a0 + k;
-    float* c0 = c + static_cast<int64_t>(i) * n;
-    float* c1 = c0 + n;
+    const float* a0 = a + static_cast<int64_t>(i) * lda;
+    const float* a1 = a0 + lda;
+    float* c0 = c + static_cast<int64_t>(i) * ldc;
+    float* c1 = c0 + ldc;
     int j = 0;
     for (; j + 4 <= n; j += 4) {
-      const float* b0 = b + static_cast<int64_t>(j) * k;
-      const float* b1 = b0 + k;
-      const float* b2 = b1 + k;
-      const float* b3 = b2 + k;
+      const float* b0 = b + static_cast<int64_t>(j) * ldb;
+      const float* b1 = b0 + ldb;
+      const float* b2 = b1 + ldb;
+      const float* b3 = b2 + ldb;
       float s00 = 0.0f, s01 = 0.0f, s02 = 0.0f, s03 = 0.0f;
       float s10 = 0.0f, s11 = 0.0f, s12 = 0.0f, s13 = 0.0f;
       for (int p = 0; p < k; ++p) {
@@ -161,7 +192,7 @@ void GemmNT(int m, int n, int k, float alpha, const float* a,
       c1[j + 3] += alpha * s13;
     }
     for (; j < n; ++j) {
-      const float* bj = b + static_cast<int64_t>(j) * k;
+      const float* bj = b + static_cast<int64_t>(j) * ldb;
       float s0 = 0.0f, s1 = 0.0f;
       for (int p = 0; p < k; ++p) {
         s0 += a0[p] * bj[p];
@@ -172,10 +203,10 @@ void GemmNT(int m, int n, int k, float alpha, const float* a,
     }
   }
   for (; i < m; ++i) {
-    const float* arow = a + static_cast<int64_t>(i) * k;
-    float* crow = c + static_cast<int64_t>(i) * n;
+    const float* arow = a + static_cast<int64_t>(i) * lda;
+    float* crow = c + static_cast<int64_t>(i) * ldc;
     for (int j = 0; j < n; ++j) {
-      const float* bj = b + static_cast<int64_t>(j) * k;
+      const float* bj = b + static_cast<int64_t>(j) * ldb;
       float s = 0.0f;
       for (int p = 0; p < k; ++p) s += arow[p] * bj[p];
       crow[j] += alpha * s;
@@ -183,102 +214,35 @@ void GemmNT(int m, int n, int k, float alpha, const float* a,
   }
 }
 
-/// C += alpha * A^T * B for A stored (k x m) and B (k x n). p-outer
-/// form: for each p, A's row p is unit-stride over i and B's row p is
-/// broadcast across C's rows.
-void GemmTN(int m, int n, int k, float alpha, const float* a,
-            const float* b, float* c) {
+/// C += alpha * A^T * B for A stored (k x m) and B (k x n), with row
+/// strides lda/ldb/ldc. p-outer form: for each p, A's row p is unit-stride
+/// over i and B's row p is broadcast across C's rows.
+void GemmTN(int m, int n, int k, float alpha, const float* a, int lda,
+            const float* b, int ldb, float* c, int ldc) {
   for (int p = 0; p < k; ++p) {
-    const float* ap = a + static_cast<int64_t>(p) * m;
-    const float* bp = b + static_cast<int64_t>(p) * n;
+    const float* ap = a + static_cast<int64_t>(p) * lda;
+    const float* bp = b + static_cast<int64_t>(p) * ldb;
     for (int i = 0; i < m; ++i) {
       const float av = alpha * ap[i];
-      float* crow = c + static_cast<int64_t>(i) * n;
+      float* crow = c + static_cast<int64_t>(i) * ldc;
       for (int j = 0; j < n; ++j) crow[j] += av * bp[j];
     }
   }
 }
 
-/// C += alpha * A^T * B^T: generic indexed loop (backward-only
-/// combination on small matrices).
-void GemmTT(int m, int n, int k, float alpha, const float* a,
-            const float* b, float* c) {
+/// C += alpha * A^T * B^T for A stored (k x m) and B (n x k), with row
+/// strides lda/ldb/ldc. Not in the kernel table: no production path
+/// multiplies two transposed operands (every MatMul passes trans_a =
+/// false, and attention uses NN, NT and TN), so both variants run this
+/// one indexed loop and agree bit for bit.
+void GemmTT(int m, int n, int k, float alpha, const float* a, int lda,
+            const float* b, int ldb, float* c, int ldc) {
   for (int i = 0; i < m; ++i) {
-    float* crow = c + static_cast<int64_t>(i) * n;
+    float* crow = c + static_cast<int64_t>(i) * ldc;
     for (int p = 0; p < k; ++p) {
-      const float av = alpha * a[static_cast<int64_t>(p) * m + i];
+      const float av = alpha * a[static_cast<int64_t>(p) * lda + i];
       for (int j = 0; j < n; ++j) {
-        crow[j] += av * b[static_cast<int64_t>(j) * k + p];
-      }
-    }
-  }
-}
-
-/// Strided single-thread GEMM, all four transpose cases (beta already
-/// applied by the dispatching wrapper).
-void GemmStridedImpl(bool trans_a, bool trans_b, int m, int n, int k,
-                     float alpha, const float* a, int lda, const float* b,
-                     int ldb, float* c, int ldc) {
-  if (!trans_a && !trans_b) {
-    // C[i,:] += alpha * A[i,p] * B[p,:] — unit-stride inner axpy,
-    // 4-way unrolled over p so each pass over C[i,:] folds four B rows
-    // (short-n callers like attention's P.V with n = head_dim would
-    // otherwise spend most of their time re-reading C).
-    for (int i = 0; i < m; ++i) {
-      const float* arow = a + static_cast<int64_t>(i) * lda;
-      float* crow = c + static_cast<int64_t>(i) * ldc;
-      int p = 0;
-      for (; p + 4 <= k; p += 4) {
-        const float a0 = alpha * arow[p];
-        const float a1 = alpha * arow[p + 1];
-        const float a2 = alpha * arow[p + 2];
-        const float a3 = alpha * arow[p + 3];
-        const float* b0 = b + static_cast<int64_t>(p) * ldb;
-        const float* b1 = b0 + ldb;
-        const float* b2 = b1 + ldb;
-        const float* b3 = b2 + ldb;
-        for (int j = 0; j < n; ++j) {
-          crow[j] += a0 * b0[j] + a1 * b1[j] + a2 * b2[j] + a3 * b3[j];
-        }
-      }
-      for (; p < k; ++p) {
-        const float av = alpha * arow[p];
-        const float* brow = b + static_cast<int64_t>(p) * ldb;
-        for (int j = 0; j < n; ++j) crow[j] += av * brow[j];
-      }
-    }
-  } else if (!trans_a && trans_b) {
-    // C[i,j] += alpha * dot(A[i,:], B[j,:]) — unit-stride dots.
-    for (int i = 0; i < m; ++i) {
-      const float* arow = a + static_cast<int64_t>(i) * lda;
-      float* crow = c + static_cast<int64_t>(i) * ldc;
-      for (int j = 0; j < n; ++j) {
-        const float* brow = b + static_cast<int64_t>(j) * ldb;
-        float s = 0.0f;
-        for (int p = 0; p < k; ++p) s += arow[p] * brow[p];
-        crow[j] += alpha * s;
-      }
-    }
-  } else if (trans_a && !trans_b) {
-    // A stored (k x m): p-outer so A's row p is unit stride over i and
-    // B's row p broadcasts across C rows.
-    for (int p = 0; p < k; ++p) {
-      const float* ap = a + static_cast<int64_t>(p) * lda;
-      const float* bp = b + static_cast<int64_t>(p) * ldb;
-      for (int i = 0; i < m; ++i) {
-        const float av = alpha * ap[i];
-        float* crow = c + static_cast<int64_t>(i) * ldc;
-        for (int j = 0; j < n; ++j) crow[j] += av * bp[j];
-      }
-    }
-  } else {
-    for (int i = 0; i < m; ++i) {
-      float* crow = c + static_cast<int64_t>(i) * ldc;
-      for (int p = 0; p < k; ++p) {
-        const float av = alpha * a[static_cast<int64_t>(p) * lda + i];
-        for (int j = 0; j < n; ++j) {
-          crow[j] += av * b[static_cast<int64_t>(j) * ldb + p];
-        }
+        crow[j] += av * b[static_cast<int64_t>(j) * ldb + p];
       }
     }
   }
@@ -410,10 +374,10 @@ namespace detail {
 
 const KernelTable& ScalarTable() {
   static const KernelTable table = {
-      KernelVariant::kScalar, GemmNN,           GemmNT,
-      GemmTN,                 GemmTT,           GemmStridedImpl,
-      ExpRowSumScalar,        SumExpRowScalar,  RowMaxScalar,
-      LayerNormRowScalar,     GeluRowScalar,    GeluGradRowScalar,
+      KernelVariant::kScalar, GemmNN,          GemmNNStrided,
+      GemmNT,                 GemmTN,          ExpRowSumScalar,
+      SumExpRowScalar,        RowMaxScalar,    LayerNormRowScalar,
+      GeluRowScalar,          GeluGradRowScalar,
   };
   return table;
 }
@@ -495,25 +459,32 @@ float SumExpRow(const float* x, int n, float m) {
 
 void Gemm(bool trans_a, bool trans_b, int m, int n, int k, float alpha,
           const float* a, const float* b, float beta, float* c) {
-  ScaleBlock(c, m, n, n, beta);
-  const detail::KernelTable& kt = detail::Active();
+  // NN is the one case with a kernel of its own: GemmStrided's axpy NN
+  // groups the k sum differently, and every recorded golden holds the
+  // panel-tiled bits. NT, TN and TT run GemmStrided's loops.
   if (!trans_a && !trans_b) {
-    kt.gemm_nn(m, n, k, alpha, a, b, c);
-  } else if (!trans_a && trans_b) {
-    kt.gemm_nt(m, n, k, alpha, a, b, c);
-  } else if (trans_a && !trans_b) {
-    kt.gemm_tn(m, n, k, alpha, a, b, c);
-  } else {
-    kt.gemm_tt(m, n, k, alpha, a, b, c);
+    ScaleBlock(c, m, n, n, beta);
+    detail::Active().gemm_nn(m, n, k, alpha, a, b, c);
+    return;
   }
+  GemmStrided(trans_a, trans_b, m, n, k, alpha, a, trans_a ? m : k, b,
+              trans_b ? k : n, beta, c, n);
 }
 
 void GemmStrided(bool trans_a, bool trans_b, int m, int n, int k,
                  float alpha, const float* a, int lda, const float* b,
                  int ldb, float beta, float* c, int ldc) {
   ScaleBlock(c, m, n, ldc, beta);
-  detail::Active().gemm_strided(trans_a, trans_b, m, n, k, alpha, a, lda, b,
-                                ldb, c, ldc);
+  const detail::KernelTable& kt = detail::Active();
+  if (!trans_a && !trans_b) {
+    kt.gemm_nn_strided(m, n, k, alpha, a, lda, b, ldb, c, ldc);
+  } else if (!trans_a) {
+    kt.gemm_nt(m, n, k, alpha, a, lda, b, ldb, c, ldc);
+  } else if (!trans_b) {
+    kt.gemm_tn(m, n, k, alpha, a, lda, b, ldb, c, ldc);
+  } else {
+    GemmTT(m, n, k, alpha, a, lda, b, ldb, c, ldc);
+  }
 }
 
 void CopyBlock(const float* src, int ld_src, float* dst, int ld_dst,

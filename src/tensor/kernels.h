@@ -49,9 +49,11 @@ class ScopedKernelVariant {
 /// op is optional transposition. op(A) is m x k, op(B) is k x n, C is m x n.
 /// A and B are row-major with their *stored* (pre-transpose) layouts:
 /// A is (m x k) when !trans_a, else (k x m); likewise for B.
-/// Cache-tiled (k panels) with a register-blocked microkernel. The
-/// k-summation grouping is a pure function of the shape.
-/// NaN/Inf propagate from both operands (no data-dependent skipping).
+/// NN is cache-tiled (k panels) with a register-blocked microkernel; the
+/// other three cases are GemmStrided with natural leading dimensions, so
+/// they equal it bit for bit. The k-summation grouping is a pure function
+/// of the shape. NaN/Inf propagate from both operands (no data-dependent
+/// skipping).
 void Gemm(bool trans_a, bool trans_b, int m, int n, int k, float alpha,
           const float* a, const float* b, float beta, float* c);
 
@@ -82,7 +84,8 @@ void LayerNormBackward(const float* x, const float* gamma, const float* mean,
 /// m x n; stored layouts are pre-transpose, as in Gemm. This is the
 /// workhorse of the fused-attention backward, where per-head operands are
 /// column blocks of packed [T, H*hd] buffers (stride = H*hd) and the
-/// score-shaped factors are contiguous [T, T] scratch.
+/// score-shaped factors are contiguous [T, T] scratch. NN is an axpy
+/// unrolled over k, whose k sums group differently from Gemm's NN.
 void GemmStrided(bool trans_a, bool trans_b, int m, int n, int k,
                  float alpha, const float* a, int lda, const float* b,
                  int ldb, float beta, float* c, int ldc);

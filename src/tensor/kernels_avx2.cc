@@ -70,7 +70,8 @@ inline __m256 ExpPs(__m256 x) {
 }
 
 // ---------------------------------------------------------------------------
-// GEMM NN: 4 x 16 microtile (8 FMA accumulators), k-panel outer loop.
+// GEMM NN (Gemm's NN case): 4 x 16 microtile (8 FMA accumulators),
+// k-panel outer loop.
 
 void GemmNNAvx2(int m, int n, int k, float alpha, const float* a,
                 const float* b, float* c) {
@@ -195,22 +196,73 @@ void GemmNNAvx2(int m, int n, int k, float alpha, const float* a,
 }
 
 // ---------------------------------------------------------------------------
+// GEMM NN over strided views (GemmStrided's NN case): axpy with a 4-way p
+// unroll, crow += sum of four broadcast * B-row FMAs.
+
+void GemmNNStridedAvx2(int m, int n, int k, float alpha, const float* a,
+                       int lda, const float* b, int ldb, float* c, int ldc) {
+  for (int i = 0; i < m; ++i) {
+    const float* arow = a + static_cast<int64_t>(i) * lda;
+    float* crow = c + static_cast<int64_t>(i) * ldc;
+    int p = 0;
+    for (; p + 4 <= k; p += 4) {
+      const __m256 a0 = _mm256_set1_ps(alpha * arow[p]);
+      const __m256 a1 = _mm256_set1_ps(alpha * arow[p + 1]);
+      const __m256 a2 = _mm256_set1_ps(alpha * arow[p + 2]);
+      const __m256 a3 = _mm256_set1_ps(alpha * arow[p + 3]);
+      const float* b0 = b + static_cast<int64_t>(p) * ldb;
+      const float* b1 = b0 + ldb;
+      const float* b2 = b1 + ldb;
+      const float* b3 = b2 + ldb;
+      int j = 0;
+      for (; j + 8 <= n; j += 8) {
+        __m256 acc = _mm256_loadu_ps(crow + j);
+        acc = _mm256_fmadd_ps(a0, _mm256_loadu_ps(b0 + j), acc);
+        acc = _mm256_fmadd_ps(a1, _mm256_loadu_ps(b1 + j), acc);
+        acc = _mm256_fmadd_ps(a2, _mm256_loadu_ps(b2 + j), acc);
+        acc = _mm256_fmadd_ps(a3, _mm256_loadu_ps(b3 + j), acc);
+        _mm256_storeu_ps(crow + j, acc);
+      }
+      const float f0 = alpha * arow[p];
+      const float f1 = alpha * arow[p + 1];
+      const float f2 = alpha * arow[p + 2];
+      const float f3 = alpha * arow[p + 3];
+      for (; j < n; ++j) {
+        crow[j] += f0 * b0[j] + f1 * b1[j] + f2 * b2[j] + f3 * b3[j];
+      }
+    }
+    for (; p < k; ++p) {
+      const float av = alpha * arow[p];
+      const __m256 vav = _mm256_set1_ps(av);
+      const float* brow = b + static_cast<int64_t>(p) * ldb;
+      int j = 0;
+      for (; j + 8 <= n; j += 8) {
+        _mm256_storeu_ps(crow + j,
+                         _mm256_fmadd_ps(vav, _mm256_loadu_ps(brow + j),
+                                         _mm256_loadu_ps(crow + j)));
+      }
+      for (; j < n; ++j) crow[j] += av * brow[j];
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
 // GEMM NT: 2 x 4 dot-product block, 8-lane accumulators over k.
 
-void GemmNTAvx2(int m, int n, int k, float alpha, const float* a,
-                const float* b, float* c) {
+void GemmNTAvx2(int m, int n, int k, float alpha, const float* a, int lda,
+                const float* b, int ldb, float* c, int ldc) {
   int i = 0;
   for (; i + 2 <= m; i += 2) {
-    const float* a0 = a + static_cast<int64_t>(i) * k;
-    const float* a1 = a0 + k;
-    float* c0 = c + static_cast<int64_t>(i) * n;
-    float* c1 = c0 + n;
+    const float* a0 = a + static_cast<int64_t>(i) * lda;
+    const float* a1 = a0 + lda;
+    float* c0 = c + static_cast<int64_t>(i) * ldc;
+    float* c1 = c0 + ldc;
     int j = 0;
     for (; j + 4 <= n; j += 4) {
-      const float* b0 = b + static_cast<int64_t>(j) * k;
-      const float* b1 = b0 + k;
-      const float* b2 = b1 + k;
-      const float* b3 = b2 + k;
+      const float* b0 = b + static_cast<int64_t>(j) * ldb;
+      const float* b1 = b0 + ldb;
+      const float* b2 = b1 + ldb;
+      const float* b3 = b2 + ldb;
       __m256 s00 = _mm256_setzero_ps(), s01 = _mm256_setzero_ps();
       __m256 s02 = _mm256_setzero_ps(), s03 = _mm256_setzero_ps();
       __m256 s10 = _mm256_setzero_ps(), s11 = _mm256_setzero_ps();
@@ -258,7 +310,7 @@ void GemmNTAvx2(int m, int n, int k, float alpha, const float* a,
       c1[j + 3] += alpha * t13;
     }
     for (; j < n; ++j) {
-      const float* bj = b + static_cast<int64_t>(j) * k;
+      const float* bj = b + static_cast<int64_t>(j) * ldb;
       __m256 s0 = _mm256_setzero_ps(), s1 = _mm256_setzero_ps();
       int p = 0;
       for (; p + 8 <= k; p += 8) {
@@ -276,10 +328,10 @@ void GemmNTAvx2(int m, int n, int k, float alpha, const float* a,
     }
   }
   for (; i < m; ++i) {
-    const float* arow = a + static_cast<int64_t>(i) * k;
-    float* crow = c + static_cast<int64_t>(i) * n;
+    const float* arow = a + static_cast<int64_t>(i) * lda;
+    float* crow = c + static_cast<int64_t>(i) * ldc;
     for (int j = 0; j < n; ++j) {
-      const float* bj = b + static_cast<int64_t>(j) * k;
+      const float* bj = b + static_cast<int64_t>(j) * ldb;
       __m256 s = _mm256_setzero_ps();
       int p = 0;
       for (; p + 8 <= k; p += 8) {
@@ -296,15 +348,15 @@ void GemmNTAvx2(int m, int n, int k, float alpha, const float* a,
 // ---------------------------------------------------------------------------
 // GEMM TN: p-outer axpy — broadcast A^T[i, p], stream B's row p.
 
-void GemmTNAvx2(int m, int n, int k, float alpha, const float* a,
-                const float* b, float* c) {
+void GemmTNAvx2(int m, int n, int k, float alpha, const float* a, int lda,
+                const float* b, int ldb, float* c, int ldc) {
   for (int p = 0; p < k; ++p) {
-    const float* ap = a + static_cast<int64_t>(p) * m;
-    const float* bp = b + static_cast<int64_t>(p) * n;
+    const float* ap = a + static_cast<int64_t>(p) * lda;
+    const float* bp = b + static_cast<int64_t>(p) * ldb;
     for (int i = 0; i < m; ++i) {
       const float av = alpha * ap[i];
       const __m256 vav = _mm256_set1_ps(av);
-      float* crow = c + static_cast<int64_t>(i) * n;
+      float* crow = c + static_cast<int64_t>(i) * ldc;
       int j = 0;
       for (; j + 8 <= n; j += 8) {
         _mm256_storeu_ps(crow + j,
@@ -312,211 +364,6 @@ void GemmTNAvx2(int m, int n, int k, float alpha, const float* a,
                                          _mm256_loadu_ps(crow + j)));
       }
       for (; j < n; ++j) crow[j] += av * bp[j];
-    }
-  }
-}
-
-// ---------------------------------------------------------------------------
-// GEMM TT: 8 x 2 column microtile. A's row p is unit stride over i, so
-// eight C rows accumulate in one register; the [8, 2] result scatters
-// through a stack spill (C columns are strided).
-
-void GemmTTAvx2(int m, int n, int k, float alpha, const float* a,
-                const float* b, float* c) {
-  const __m256 valpha = _mm256_set1_ps(alpha);
-  int i = 0;
-  for (; i + 8 <= m; i += 8) {
-    int j = 0;
-    for (; j + 2 <= n; j += 2) {
-      const float* b0 = b + static_cast<int64_t>(j) * k;
-      const float* b1 = b0 + k;
-      __m256 acc0 = _mm256_setzero_ps();
-      __m256 acc1 = _mm256_setzero_ps();
-      for (int p = 0; p < k; ++p) {
-        const __m256 av = _mm256_loadu_ps(a + static_cast<int64_t>(p) * m
-                                          + i);
-        acc0 = _mm256_fmadd_ps(av, _mm256_broadcast_ss(b0 + p), acc0);
-        acc1 = _mm256_fmadd_ps(av, _mm256_broadcast_ss(b1 + p), acc1);
-      }
-      alignas(32) float t0[8];
-      alignas(32) float t1[8];
-      _mm256_store_ps(t0, _mm256_mul_ps(valpha, acc0));
-      _mm256_store_ps(t1, _mm256_mul_ps(valpha, acc1));
-      for (int r = 0; r < 8; ++r) {
-        float* crow = c + static_cast<int64_t>(i + r) * n + j;
-        crow[0] += t0[r];
-        crow[1] += t1[r];
-      }
-    }
-    for (; j < n; ++j) {
-      const float* bj = b + static_cast<int64_t>(j) * k;
-      __m256 acc = _mm256_setzero_ps();
-      for (int p = 0; p < k; ++p) {
-        acc = _mm256_fmadd_ps(
-            _mm256_loadu_ps(a + static_cast<int64_t>(p) * m + i),
-            _mm256_broadcast_ss(bj + p), acc);
-      }
-      alignas(32) float t[8];
-      _mm256_store_ps(t, _mm256_mul_ps(valpha, acc));
-      for (int r = 0; r < 8; ++r) {
-        c[static_cast<int64_t>(i + r) * n + j] += t[r];
-      }
-    }
-  }
-  // Ragged row tail: scalar indexed loop (same shape as the reference).
-  for (; i < m; ++i) {
-    float* crow = c + static_cast<int64_t>(i) * n;
-    for (int p = 0; p < k; ++p) {
-      const float av = alpha * a[static_cast<int64_t>(p) * m + i];
-      for (int j = 0; j < n; ++j) {
-        crow[j] += av * b[static_cast<int64_t>(j) * k + p];
-      }
-    }
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Strided GEMM (single thread, per-head attention views).
-
-void GemmStridedAvx2(bool trans_a, bool trans_b, int m, int n, int k,
-                     float alpha, const float* a, int lda, const float* b,
-                     int ldb, float* c, int ldc) {
-  if (!trans_a && !trans_b) {
-    // axpy with 4-way p unroll: crow += sum of four broadcast*B-row FMAs.
-    for (int i = 0; i < m; ++i) {
-      const float* arow = a + static_cast<int64_t>(i) * lda;
-      float* crow = c + static_cast<int64_t>(i) * ldc;
-      int p = 0;
-      for (; p + 4 <= k; p += 4) {
-        const __m256 a0 = _mm256_set1_ps(alpha * arow[p]);
-        const __m256 a1 = _mm256_set1_ps(alpha * arow[p + 1]);
-        const __m256 a2 = _mm256_set1_ps(alpha * arow[p + 2]);
-        const __m256 a3 = _mm256_set1_ps(alpha * arow[p + 3]);
-        const float* b0 = b + static_cast<int64_t>(p) * ldb;
-        const float* b1 = b0 + ldb;
-        const float* b2 = b1 + ldb;
-        const float* b3 = b2 + ldb;
-        int j = 0;
-        for (; j + 8 <= n; j += 8) {
-          __m256 acc = _mm256_loadu_ps(crow + j);
-          acc = _mm256_fmadd_ps(a0, _mm256_loadu_ps(b0 + j), acc);
-          acc = _mm256_fmadd_ps(a1, _mm256_loadu_ps(b1 + j), acc);
-          acc = _mm256_fmadd_ps(a2, _mm256_loadu_ps(b2 + j), acc);
-          acc = _mm256_fmadd_ps(a3, _mm256_loadu_ps(b3 + j), acc);
-          _mm256_storeu_ps(crow + j, acc);
-        }
-        const float f0 = alpha * arow[p];
-        const float f1 = alpha * arow[p + 1];
-        const float f2 = alpha * arow[p + 2];
-        const float f3 = alpha * arow[p + 3];
-        for (; j < n; ++j) {
-          crow[j] += f0 * b0[j] + f1 * b1[j] + f2 * b2[j] + f3 * b3[j];
-        }
-      }
-      for (; p < k; ++p) {
-        const float av = alpha * arow[p];
-        const __m256 vav = _mm256_set1_ps(av);
-        const float* brow = b + static_cast<int64_t>(p) * ldb;
-        int j = 0;
-        for (; j + 8 <= n; j += 8) {
-          _mm256_storeu_ps(crow + j,
-                           _mm256_fmadd_ps(vav, _mm256_loadu_ps(brow + j),
-                                           _mm256_loadu_ps(crow + j)));
-        }
-        for (; j < n; ++j) crow[j] += av * brow[j];
-      }
-    }
-  } else if (!trans_a && trans_b) {
-    // Unit-stride dots, 1 x 4 j block.
-    for (int i = 0; i < m; ++i) {
-      const float* arow = a + static_cast<int64_t>(i) * lda;
-      float* crow = c + static_cast<int64_t>(i) * ldc;
-      int j = 0;
-      for (; j + 4 <= n; j += 4) {
-        const float* b0 = b + static_cast<int64_t>(j) * ldb;
-        const float* b1 = b0 + ldb;
-        const float* b2 = b1 + ldb;
-        const float* b3 = b2 + ldb;
-        __m256 s0 = _mm256_setzero_ps(), s1 = _mm256_setzero_ps();
-        __m256 s2 = _mm256_setzero_ps(), s3 = _mm256_setzero_ps();
-        int p = 0;
-        for (; p + 8 <= k; p += 8) {
-          const __m256 av = _mm256_loadu_ps(arow + p);
-          s0 = _mm256_fmadd_ps(av, _mm256_loadu_ps(b0 + p), s0);
-          s1 = _mm256_fmadd_ps(av, _mm256_loadu_ps(b1 + p), s1);
-          s2 = _mm256_fmadd_ps(av, _mm256_loadu_ps(b2 + p), s2);
-          s3 = _mm256_fmadd_ps(av, _mm256_loadu_ps(b3 + p), s3);
-        }
-        float t0 = HSum(s0), t1 = HSum(s1), t2 = HSum(s2), t3 = HSum(s3);
-        for (; p < k; ++p) {
-          const float av = arow[p];
-          t0 += av * b0[p];
-          t1 += av * b1[p];
-          t2 += av * b2[p];
-          t3 += av * b3[p];
-        }
-        crow[j] += alpha * t0;
-        crow[j + 1] += alpha * t1;
-        crow[j + 2] += alpha * t2;
-        crow[j + 3] += alpha * t3;
-      }
-      for (; j < n; ++j) {
-        const float* bj = b + static_cast<int64_t>(j) * ldb;
-        __m256 s = _mm256_setzero_ps();
-        int p = 0;
-        for (; p + 8 <= k; p += 8) {
-          s = _mm256_fmadd_ps(_mm256_loadu_ps(arow + p),
-                              _mm256_loadu_ps(bj + p), s);
-        }
-        float t = HSum(s);
-        for (; p < k; ++p) t += arow[p] * bj[p];
-        crow[j] += alpha * t;
-      }
-    }
-  } else if (trans_a && !trans_b) {
-    for (int p = 0; p < k; ++p) {
-      const float* ap = a + static_cast<int64_t>(p) * lda;
-      const float* bp = b + static_cast<int64_t>(p) * ldb;
-      for (int i = 0; i < m; ++i) {
-        const float av = alpha * ap[i];
-        const __m256 vav = _mm256_set1_ps(av);
-        float* crow = c + static_cast<int64_t>(i) * ldc;
-        int j = 0;
-        for (; j + 8 <= n; j += 8) {
-          _mm256_storeu_ps(crow + j,
-                           _mm256_fmadd_ps(vav, _mm256_loadu_ps(bp + j),
-                                           _mm256_loadu_ps(crow + j)));
-        }
-        for (; j < n; ++j) crow[j] += av * bp[j];
-      }
-    }
-  } else {
-    // TT: 8 x 1 column microtile over the unit-stride i axis of A.
-    int i = 0;
-    for (; i + 8 <= m; i += 8) {
-      for (int j = 0; j < n; ++j) {
-        const float* bj = b + static_cast<int64_t>(j) * ldb;
-        __m256 acc = _mm256_setzero_ps();
-        for (int p = 0; p < k; ++p) {
-          acc = _mm256_fmadd_ps(
-              _mm256_loadu_ps(a + static_cast<int64_t>(p) * lda + i),
-              _mm256_broadcast_ss(bj + p), acc);
-        }
-        alignas(32) float t[8];
-        _mm256_store_ps(t, _mm256_mul_ps(_mm256_set1_ps(alpha), acc));
-        for (int r = 0; r < 8; ++r) {
-          c[static_cast<int64_t>(i + r) * ldc + j] += t[r];
-        }
-      }
-    }
-    for (; i < m; ++i) {
-      float* crow = c + static_cast<int64_t>(i) * ldc;
-      for (int p = 0; p < k; ++p) {
-        const float av = alpha * a[static_cast<int64_t>(p) * lda + i];
-        for (int j = 0; j < n; ++j) {
-          crow[j] += av * b[static_cast<int64_t>(j) * ldb + p];
-        }
-      }
     }
   }
 }
@@ -723,10 +570,10 @@ void GeluGradRowAvx2(const float* x, const float* dout, float* dx,
 
 const KernelTable& Avx2Table() {
   static const KernelTable table = {
-      KernelVariant::kAvx2, GemmNNAvx2,      GemmNTAvx2,
-      GemmTNAvx2,           GemmTTAvx2,      GemmStridedAvx2,
-      ExpRowSumAvx2,        SumExpRowAvx2,   RowMaxAvx2,
-      LayerNormRowAvx2,     GeluRowAvx2,     GeluGradRowAvx2,
+      KernelVariant::kAvx2, GemmNNAvx2,      GemmNNStridedAvx2,
+      GemmNTAvx2,           GemmTNAvx2,      ExpRowSumAvx2,
+      SumExpRowAvx2,        RowMaxAvx2,      LayerNormRowAvx2,
+      GeluRowAvx2,          GeluGradRowAvx2,
   };
   return table;
 }

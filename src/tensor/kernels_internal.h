@@ -19,27 +19,29 @@
 
 namespace promptem::tensor::kernels::detail {
 
+/// A GEMM over views with row strides (leading dimensions) lda/ldb/ldc.
+using StridedGemmFn = void (*)(int m, int n, int k, float alpha,
+                               const float* a, int lda, const float* b,
+                               int ldb, float* c, int ldc);
+
 struct KernelTable {
   KernelVariant variant;
 
-  /// C += alpha * A * B, row-major A (m x k), B (k x n).
+  // GEMM entries: C += alpha * op(A) * op(B), beta applied by the caller.
+  // Stored layouts are pre-transpose, as in kernels::Gemm. NT and TN each
+  // have one kernel, which Gemm and GemmStrided share; NN has two, whose
+  // k sums group differently; TT is one portable loop outside the table.
+
+  /// Packed row-major A (m x k), B (k x n), C (m x n); k-panel tiled.
+  /// Gemm's NN case.
   void (*gemm_nn)(int m, int n, int k, float alpha, const float* a,
                   const float* b, float* c);
-  /// C += alpha * A * B^T, B stored (n x k).
-  void (*gemm_nt)(int m, int n, int k, float alpha, const float* a,
-                  const float* b, float* c);
-  /// C += alpha * A^T * B, A stored (k x m).
-  void (*gemm_tn)(int m, int n, int k, float alpha, const float* a,
-                  const float* b, float* c);
-  /// C += alpha * A^T * B^T, A (k x m), B (n x k).
-  void (*gemm_tt)(int m, int n, int k, float alpha, const float* a,
-                  const float* b, float* c);
-
-  /// Strided single-thread GEMM over views (all four transpose cases);
-  /// beta scaling is applied by the caller.
-  void (*gemm_strided)(bool trans_a, bool trans_b, int m, int n, int k,
-                       float alpha, const float* a, int lda, const float* b,
-                       int ldb, float* c, int ldc);
+  /// GemmStrided's NN case: A (m x k), B (k x n) with row strides.
+  StridedGemmFn gemm_nn_strided;
+  /// A (m x k), B stored (n x k).
+  StridedGemmFn gemm_nt;
+  /// A stored (k x m), B (k x n).
+  StridedGemmFn gemm_tn;
 
   /// out[j] = exp(x[j] - m) for j in [0, n); returns sum_j out[j].
   /// x and out may alias elementwise.

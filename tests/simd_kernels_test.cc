@@ -271,8 +271,10 @@ constexpr GemmGolden kGemmGoldens[] = {
      3832155454053778741ull, 3832155454053778741ull},
     {true, false, 7638541829153335799ull, 7638541829153335799ull,
      4297679196626216787ull, 4297679196626216787ull},
+    // TT is one portable loop outside the kernel table: the AVX2 variant
+    // gives the scalar bits, in every build.
     {true, true, 1151887796313091888ull, 1151887796313091888ull,
-     7908120723903670832ull, 7908120723903670832ull},
+     1151887796313091888ull, 1151887796313091888ull},
 };
 
 // Pins every GEMM case of both entry points across commits, and the
@@ -322,9 +324,10 @@ TEST(GemmGoldenTest, DigestsPinnedAndStridedMatchesGemm) {
                             c_strided.size() * sizeof(float), strided_digest);
           std::vector<float> want_padded = c0.padded;
           for (int r = 0; r < s.m; ++r) {
-            std::copy_n(c_strided.begin() + static_cast<int64_t>(r) * s.n,
-                        s.n,
-                        want_padded.begin() + static_cast<int64_t>(r) * c0.ld());
+            const int64_t from = static_cast<int64_t>(r) * s.n;
+            const int64_t to = static_cast<int64_t>(r) * c0.ld();
+            std::copy_n(c_strided.begin() + from, s.n,
+                        want_padded.begin() + to);
           }
           const bool shared_loop = ta || tb;
           if (!BitsEqual(c_padded, want_padded) ||
@@ -342,7 +345,7 @@ TEST(GemmGoldenTest, DigestsPinnedAndStridedMatchesGemm) {
       if (active == KernelVariant::kScalar) {
         EXPECT_EQ(gemm_digest, golden.scalar_gemm);
         EXPECT_EQ(strided_digest, golden.scalar_strided);
-      } else if (!kSanitizerBuild) {
+      } else if (!kSanitizerBuild || (ta && tb)) {
         EXPECT_EQ(gemm_digest, golden.avx2_gemm);
         EXPECT_EQ(strided_digest, golden.avx2_strided);
       }

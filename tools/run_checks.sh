@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Runs the full check matrix: the plain Release test suite with the
-# micro-bench ledger check, the ASan-labeled suite (which includes the
-# fault-injection sweeps), and the TSan-labeled suite, each in its own
-# build directory.
+# micro-bench ledger check, the same suite again with the portable
+# kernels pinned (PROMPTEM_FORCE_SCALAR=1), the ASan-labeled suite (which
+# includes the fault-injection sweeps), and the TSan-labeled suite.
 #
 # Usage: tools/run_checks.sh [extra ctest flags...]
 #
@@ -49,14 +49,20 @@ fi
 run_suite build-checks "" -DCMAKE_BUILD_TYPE=Release
 tools/check_bench_ledger.sh build-checks
 
-# 2. The memory-safety set (every "asan" label in tests/CMakeLists.txt:
+# 2. The same Release build with the scalar kernel table pinned, as CI's
+#    scalar job runs it (on an AVX2 host step 1 runs the AVX2 table).
+echo "=== build-checks (PROMPTEM_FORCE_SCALAR=1) ==="
+PROMPTEM_FORCE_SCALAR=1 ctest --test-dir build-checks --output-on-failure \
+  -j "${jobs}" "${extra_flags[@]}"
+
+# 3. The memory-safety set (every "asan" label in tests/CMakeLists.txt:
 #    pool determinism, the training runtime, execution engine, fused
 #    attention, SIMD kernels, streaming pipeline, caches, hash index,
 #    serving, fault injection, and the JSON/CSV/JSONL parsers and loaders)
 #    under AddressSanitizer.
 run_suite build-asan asan -DPROMPTEM_SANITIZE=address
 
-# 3. The concurrency set (every "tsan" label: pool determinism, the
+# 4. The concurrency set (every "tsan" label: pool determinism, the
 #    training runtime's data-parallel TrainLoop, the execution engine and
 #    its sweep-shared prompt rows, fused attention, SIMD kernels,
 #    streaming pipeline, caches, hash index, serving) under
